@@ -1,18 +1,17 @@
-//! Micro-benchmark of the four functional GPU executors.
+//! Micro-benchmark of the three functional GPU executors.
 //!
 //! Runs fully lowered kernels (the CUBLAS-like baselines, which exercise
 //! staging, register tiles and barriers) through all engines:
 //!
 //! * `exec::exec_program` — the tree-walking oracle (sequential blocks,
 //!   string-keyed environments);
-//! * `tape::Tape` — compile-once kernel tape, block-parallel with rayon;
 //! * `bytecode::ByteCode` — flat linear bytecode, optimized address units,
-//!   lane-vectorized interpretation (`vexec`);
+//!   lane-vectorized block-parallel interpretation (`vexec`);
 //! * `native::NativeProgram` — the bytecode's lane-affine inner loop
 //!   nests lowered to specialized host SIMD microkernels.
 //!
 //! Reports wall-clock per launch, blocks/second and effective GFLOPS for
-//! each, plus per-row and geomean tape→bytecode and bytecode→native
+//! each, plus per-row and geomean oracle→bytecode and bytecode→native
 //! speedups, and writes the measurements to `BENCH_exec.json`.  The
 //! `GEMM-NN-inner` row is a register-tiled kernel whose deep K tile makes
 //! the inner FMA nest dominate — the shape the native tier targets.
@@ -22,7 +21,7 @@
 use oa_core::autotune::json::Json;
 use oa_core::autotune::report::{NativeCoverageStats, TuneEvent};
 use oa_core::blas3::baselines::cublas_like;
-use oa_core::gpusim::{exec_program, ByteCode, DeviceSpec, NativeProgram, Tape};
+use oa_core::gpusim::{exec_program, ByteCode, DeviceSpec, NativeProgram};
 use oa_core::loopir::builder::{gemm_nn_like, syrk_ln_like};
 use oa_core::loopir::interp::{alloc_buffers, Bindings, Buffers};
 use oa_core::loopir::transform::{loop_tiling, reg_alloc, sm_alloc, thread_grouping, TileParams};
@@ -63,40 +62,31 @@ struct Measurement {
     blocks: i64,
     flops: f64,
     legacy_secs: f64,
-    tape_secs: f64,
     bytecode_secs: f64,
     native_secs: f64,
     coverage: NativeCoverageStats,
 }
 
 impl Measurement {
-    /// Oracle → tape speedup (the PR 1 headline).
+    /// Oracle → bytecode speedup.
     fn speedup(&self) -> f64 {
-        self.legacy_secs / self.tape_secs
+        self.legacy_secs / self.bytecode_secs
     }
 
-    /// Tape → bytecode speedup (the PR 2 headline).
-    fn bytecode_speedup(&self) -> f64 {
-        self.tape_secs / self.bytecode_secs
-    }
-
-    /// Bytecode → native speedup (this PR's headline).
+    /// Bytecode → native speedup (the perf-floor metric).
     fn native_speedup(&self) -> f64 {
         self.bytecode_secs / self.native_secs
     }
 }
 
-/// Measure one fully lowered program through all four engines.
+/// Measure one fully lowered program through all three engines.
 fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) -> Measurement {
     let bindings = Bindings::square(n);
     let base = alloc_buffers(p, &bindings, 0xBEEF);
 
-    let tape = Tape::compile(p, &bindings).expect("baseline kernels lower");
     let bc = ByteCode::compile(p, &bindings).expect("baseline kernels lower to bytecode");
     let native = NativeProgram::compile(p, &bindings).expect("baseline kernels lower natively");
     // Warm all paths once (page-in, lazy allocations) before timing.
-    let mut warm = base.clone();
-    tape.execute(&mut warm).expect("tape exec");
     let mut warm = base.clone();
     bc.execute(&mut warm).expect("bytecode exec");
     let mut warm = base.clone();
@@ -109,9 +99,6 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
     });
     let bytecode_secs = time_launches(budget, 200, &base, |bufs| {
         bc.execute(bufs).expect("bytecode exec");
-    });
-    let tape_secs = time_launches(budget, 200, &base, |bufs| {
-        tape.execute(bufs).expect("tape exec");
     });
     let legacy_secs = time_launches(budget, 200, &base, |bufs| {
         exec_program(p, &bindings, bufs).expect("oracle exec");
@@ -135,10 +122,9 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
     Measurement {
         routine: label.to_string(),
         n,
-        blocks: tape.total_blocks(),
+        blocks: bc.total_blocks(),
         flops,
         legacy_secs,
-        tape_secs,
         bytecode_secs,
         native_secs,
         coverage,
@@ -219,18 +205,8 @@ fn main() {
     cases.push((RoutineId::Trsm(Side::Left, Uplo::Lower, Trans::N), trsm_n));
 
     println!(
-        "{:<14} {:>5} {:>7} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>10}",
-        "routine",
-        "n",
-        "blocks",
-        "legacy ms",
-        "tape ms",
-        "bc ms",
-        "native ms",
-        "tape/leg",
-        "bc/tape",
-        "nat/bc",
-        "GFLOPS"
+        "{:<14} {:>5} {:>7} {:>11} {:>11} {:>11} {:>8} {:>8} {:>10}",
+        "routine", "n", "blocks", "legacy ms", "bc ms", "native ms", "bc/leg", "nat/bc", "GFLOPS"
     );
     let mut measurements = Vec::new();
     for &(r, n) in &cases {
@@ -262,21 +238,18 @@ fn main() {
         let blocks_per_sec = m.blocks as f64 / m.bytecode_secs;
         let gflops = m.flops / m.bytecode_secs / 1e9;
         let native_gflops = m.flops / m.native_secs / 1e9;
-        let tape_gflops = m.flops / m.tape_secs / 1e9;
         let legacy_gflops = m.flops / m.legacy_secs / 1e9;
-        log_speedup_sum += m.bytecode_speedup().ln();
+        log_speedup_sum += m.speedup().ln();
         log_native_sum += m.native_speedup().ln();
         println!(
-            "{:<14} {:>5} {:>7} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>7.2}x {:>7.2}x {:>7.2}x {:>10.4}",
+            "{:<14} {:>5} {:>7} {:>11.3} {:>11.3} {:>11.3} {:>7.2}x {:>7.2}x {:>10.4}",
             m.routine,
             m.n,
             m.blocks,
             m.legacy_secs * 1e3,
-            m.tape_secs * 1e3,
             m.bytecode_secs * 1e3,
             m.native_secs * 1e3,
             m.speedup(),
-            m.bytecode_speedup(),
             m.native_speedup(),
             native_gflops
         );
@@ -285,19 +258,13 @@ fn main() {
             ("n".to_string(), Json::Num(m.n as f64)),
             ("blocks".to_string(), Json::Num(m.blocks as f64)),
             ("legacy_secs".to_string(), Json::Num(m.legacy_secs)),
-            ("tape_secs".to_string(), Json::Num(m.tape_secs)),
             ("bytecode_secs".to_string(), Json::Num(m.bytecode_secs)),
             ("native_secs".to_string(), Json::Num(m.native_secs)),
             ("speedup".to_string(), Json::Num(m.speedup())),
-            (
-                "bytecode_speedup".to_string(),
-                Json::Num(m.bytecode_speedup()),
-            ),
             ("native_speedup".to_string(), Json::Num(m.native_speedup())),
             ("blocks_per_sec".to_string(), Json::Num(blocks_per_sec)),
             ("bytecode_gflops".to_string(), Json::Num(gflops)),
             ("native_gflops".to_string(), Json::Num(native_gflops)),
-            ("tape_gflops".to_string(), Json::Num(tape_gflops)),
             ("legacy_gflops".to_string(), Json::Num(legacy_gflops)),
             (
                 "native_coverage".to_string(),
@@ -331,16 +298,17 @@ fn main() {
     let rows_n = measurements.len() as f64;
     let geomean = (log_speedup_sum / rows_n).exp();
     let native_geomean = (log_native_sum / rows_n).exp();
-    println!("\ntape -> bytecode geomean speedup: {geomean:.2}x");
+    println!("\noracle -> bytecode geomean speedup: {geomean:.2}x");
     println!("bytecode -> native geomean speedup: {native_geomean:.2}x");
 
     let doc = Json::Obj(BTreeMap::from([
         (
             "note".to_string(),
             Json::Str(
-                "functional-executor wall clock: tree-walking oracle vs compiled kernel tape \
-                 (block-parallel) vs lane-vectorized linear bytecode vs native microkernels; \
-                 GFLOPS are simulation throughput, not modeled device GFLOPS"
+                "functional-executor wall clock: tree-walking oracle vs lane-vectorized \
+                 block-parallel linear bytecode vs native microkernels; speedup and \
+                 bytecode_geomean_speedup are oracle -> bytecode; GFLOPS are simulation \
+                 throughput, not modeled device GFLOPS"
                     .to_string(),
             ),
         ),

@@ -13,7 +13,7 @@
 //!
 //! Honesty first: before any numbers are reported, each chain's fused
 //! digest is checked **bit for bit** against the sequenced digest on all
-//! four execution engines (oracle, tape, bytecode, native).  A fusion
+//! three execution engines (oracle, bytecode, native).  A fusion
 //! pass that changes results is disqualified, not benchmarked.
 //!
 //! Writes `BENCH_fuse.json` and enforces a committed traffic-reduction
@@ -31,13 +31,6 @@ use oa_core::dispatch::Registry;
 use oa_core::gpusim::ExecEngine;
 use oa_core::{DagRequest, DagStatus, DeviceSpec};
 use std::collections::BTreeMap;
-
-const ENGINES: [ExecEngine; 4] = [
-    ExecEngine::Oracle,
-    ExecEngine::Tape,
-    ExecEngine::Bytecode,
-    ExecEngine::Native,
-];
 
 fn chain_gemm_add(n: i64) -> DagRequest {
     let line = format!(
@@ -108,7 +101,7 @@ fn main() {
         let mut unfused = req.clone();
         unfused.fuse = false;
         let mut digests = Vec::new();
-        for engine in ENGINES {
+        for engine in ExecEngine::ALL {
             let registry = Registry::new(dev.clone()).with_engine(engine);
             let f = run(&registry, &req);
             let s = run(&registry, &unfused);
@@ -125,7 +118,7 @@ fn main() {
             "{label}: engines disagree: {digests:x?}"
         );
         println!(
-            "  {label:<12} n={:<4} {:016x} on all 4 engines",
+            "  {label:<12} n={:<4} {:016x} on every engine",
             req.n, digests[0]
         );
     }

@@ -58,7 +58,7 @@ pub fn verify_against_reference(
         .unwrap_or_else(|| oa_loopir::interp::Matrix::zeros(n, n));
     run_reference(r, &a_in, &mut b_ref, &mut c_ref);
 
-    // The fast executor (bytecode by default, OA_EXEC_ENGINE-selectable):
+    // The fast executor (native by default, OA_EXEC_ENGINE-selectable):
     // bit-identical to the tree-walking oracle, but compiled and
     // block-parallel (all 24 routines verify in seconds).
     exec_program_fast(program, &bindings, &mut bufs)?;

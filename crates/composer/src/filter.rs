@@ -133,7 +133,7 @@ pub fn filter_report_on(
 /// compiled GPU executor.
 ///
 /// A block/thread-mapped candidate is what the downstream pipeline will
-/// actually launch, so it is checked on the caller's fast engine (bytecode
+/// actually launch, so it is checked on the caller's fast engine (native
 /// by default — far cheaper than the tree-walking interpreter when the
 /// filter sweeps dozens of sequences).  Candidates that do not lower — not
 /// yet mapped, or structurally unlaunchable — fall back to the sequential

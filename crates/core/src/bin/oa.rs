@@ -9,7 +9,7 @@
 //! oa cuda GEMM-NN --n 1024                 # emit the tuned kernel's CUDA source
 //! oa trace-check trace.jsonl               # validate a captured trace stream
 //! oa serve batch.jsonl --threads 8         # batched dispatch: JSONL in, JSONL out
-//! oa fuzz --seed 5 --iters 200             # differential fuzz: 4 engines + reference
+//! oa fuzz --seed 5 --iters 200             # differential fuzz: 3 engines + reference
 //! oa explain --native TRSM-LL-N --n 256    # native-tier region map + reject table
 //! oa model train trace.jsonl               # fit the tuner's learned cost model
 //! oa model eval trace.jsonl --min-hit 0.9  # held-out top-5 hit rate gate

@@ -7,7 +7,7 @@
 //!
 //! * [`Registry`] — per [`DeviceSpec`], resolves a routine through the
 //!   tuning cache (tune-on-miss via `tune_fresh_on`), lowers the winning
-//!   script **once** through tape→bytecode, and memoizes the compiled
+//!   script **once** through the selected engine, and memoizes the compiled
 //!   program in a bounded LRU keyed by
 //!   `(routine, device, param-point, size)`;
 //! * [`Registry::run_batch`] — a batch of mixed [`Request`]s drained by

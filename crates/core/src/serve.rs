@@ -21,7 +21,8 @@
 //!   requests resolves and compiles **once** and hits the warm program
 //!   LRU for the rest;
 //! * [`Metrics`] — live counters (queue depth, batch sizes, LRU hit
-//!   rate, per-tenant completions, p50/p99 latency) served over the same
+//!   rate, per-tenant completions, p50/p99 latency, process-wide native
+//!   region entries/fallbacks) served over the same
 //!   socket via `{"op": "metrics"}` / `{"op": "health"}`, and folded
 //!   into one terminal [`TuneEvent::Serve`] record after the graceful
 //!   drain — the durable trace line `oa trace-check` validates;
@@ -574,6 +575,7 @@ impl ServerCtx {
     fn metrics_json(&self, op: &str) -> Json {
         let s = self.metrics.stats(self.registry.program_stats());
         let lru = self.registry.program_stats().since(&self.metrics.base_lru);
+        let (native_entries, native_fallbacks) = oa_gpusim::native::runtime_totals();
         let tenants = Json::Obj(
             self.metrics
                 .tenants
@@ -605,6 +607,14 @@ impl ServerCtx {
             ("lru_hits".to_string(), Json::Int(lru.hits as i64)),
             ("lru_misses".to_string(), Json::Int(lru.misses as i64)),
             ("lru_evictions".to_string(), Json::Int(lru.evictions as i64)),
+            (
+                "native_entries".to_string(),
+                Json::Int(native_entries as i64),
+            ),
+            (
+                "native_fallbacks".to_string(),
+                Json::Int(native_fallbacks as i64),
+            ),
             (
                 "programs".to_string(),
                 Json::Int(self.registry.programs_len() as i64),

@@ -27,14 +27,6 @@ use crate::gen::{DagCase, DAG_SIZES};
 /// Which fuzz iterations run the DAG stripe (every 3rd).
 pub const DAG_STRIPE_PERIOD: usize = 3;
 
-/// Engines the stripe cross-checks — all four.
-const ENGINES: [ExecEngine; 4] = [
-    ExecEngine::Oracle,
-    ExecEngine::Tape,
-    ExecEngine::Bytecode,
-    ExecEngine::Native,
-];
-
 /// Per-run state: one memoizing fusion environment per engine.
 pub struct DagStripe {
     envs: Vec<(ExecEngine, FuseEnv)>,
@@ -47,10 +39,10 @@ impl Default for DagStripe {
 }
 
 impl DagStripe {
-    /// A stripe over all four engines on the reference device.
+    /// A stripe over all three engines on the reference device.
     pub fn new() -> DagStripe {
         DagStripe {
-            envs: ENGINES
+            envs: ExecEngine::ALL
                 .iter()
                 .map(|&e| (e, FuseEnv::new(e, DeviceSpec::gtx285(), ResolveMode::Fast)))
                 .collect(),

@@ -1,5 +1,5 @@
 //! The differential heart: run one [`Case`] through the composer and then
-//! every surviving variant through all four engines plus the CPU
+//! every surviving variant through all three engines plus the CPU
 //! reference, demanding bit-identical agreement or identically-classified
 //! rejection.
 

@@ -1,9 +1,9 @@
 //! # oa-fuzz — coverage-guided differential fuzzer
 //!
 //! Feeds random-but-plausible inputs through the whole script → IR →
-//! engine pipeline and demands that the four execution engines (oracle
-//! tree walker, kernel tape, lane-vectorized bytecode, native
-//! microkernels) plus the CPU reference agree — bit-identically when
+//! engine pipeline and demands that the three execution engines (oracle
+//! tree walker, lane-vectorized bytecode, native microkernels) plus the
+//! CPU reference agree — bit-identically when
 //! they execute, with one identical error class when they reject.  On divergence the failing
 //! case is shrunk to a minimal reproducer and written out as a
 //! self-contained `.case` file.
@@ -51,7 +51,7 @@ pub struct FuzzConfig {
     /// case costs two full tune sweeps — and switched on by `oa fuzz`.
     pub model_stripe: bool,
     /// Cross-check the fusion pass (fused vs sequenced DAG plans, bit
-    /// for bit, across all four engines — see [`dag_stripe`]) on every
+    /// for bit, across all three engines — see [`dag_stripe`]) on every
     /// [`DAG_STRIPE_PERIOD`]-th case.  Off by default and switched on
     /// by `oa fuzz`.
     pub dag_stripe: bool,

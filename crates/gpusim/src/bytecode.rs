@@ -2,9 +2,9 @@
 //! simulator.
 //!
 //! [`Tape`](crate::tape::Tape) already resolves names to slots, but it
-//! still *interprets program structure*: every thread of every block
-//! re-walks the nested `Vec<Op>` bodies and `Box`ed [`SExpr`] trees, and
-//! re-evaluates every affine subscript from scratch on every iteration.
+//! still has *program structure*: nested `Vec<Op>` bodies and `Box`ed
+//! [`SExpr`] trees, with every affine subscript a full dot product that a
+//! per-thread walk would re-evaluate on every iteration.
 //! This module compiles a tape once more, into a flat `Vec` of fixed-size
 //! [`Instr`]uctions over
 //!
@@ -32,12 +32,12 @@
 //!    iteration with an incremental add, removing the per-iteration
 //!    multiply-accumulate chain;
 //! 4. **FMA fusion** — `a*b ± c` / `c ± a*b` scalar trees become one
-//!    [`Instr::FFma`] with the tape's exact two-rounding semantics and
+//!    [`Instr::FFma`] with the oracle's exact two-rounding semantics and
 //!    operand order preserved.
 //!
 //! The result executes on the lane-vectorized interpreter in
-//! [`crate::vexec`] and is bit-identical to both the tape and the
-//! tree-walking oracle on every generated kernel (enforced by the
+//! [`crate::vexec`] and is bit-identical to the tree-walking oracle on
+//! every generated kernel (enforced by the
 //! `engine_differential` and `bytecode_differential` test suites).
 
 use oa_loopir::arrays::{AllocMode, Fill};
@@ -160,10 +160,10 @@ pub(crate) enum Instr {
     },
     /// `freg[dst] = freg[a] op freg[b]` for every lane.
     FBin { op: BinOp, dst: u32, a: u32, b: u32 },
-    /// Fused multiply-add with the tape's two-rounding semantics:
+    /// Fused multiply-add with the oracle's two-rounding semantics:
     /// `t = a*b` (rounded), then `t op c` when `mul_first`, `c op t`
     /// otherwise — never a single-rounding hardware FMA, so results stay
-    /// bit-identical to the unfused tape evaluation.
+    /// bit-identical to the unfused oracle evaluation.
     FFma {
         op: BinOp,
         dst: u32,

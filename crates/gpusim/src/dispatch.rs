@@ -8,8 +8,8 @@
 //!
 //! * [`CompiledProgram`] — one program lowered **once** through the
 //!   selected [`ExecEngine`] into its ready-to-run form (tree oracle,
-//!   slot-resolved tape, or linear bytecode), executable any number of
-//!   times from any thread;
+//!   linear bytecode, or bytecode with native regions), executable any
+//!   number of times from any thread;
 //! * [`Lru`] — a bounded least-recently-used store with hit/miss/eviction
 //!   counters, the precompiled-program cache of the registry;
 //! * [`run_jobs`] — a caller-sized worker pool draining a shared queue:
@@ -37,11 +37,11 @@ use std::time::{Duration, Instant};
 use crate::engine::ExecEngine;
 use crate::exec::ExecError;
 use crate::native::NativeProgram;
-use crate::{ByteCode, Tape};
+use crate::ByteCode;
 
 /// A program lowered once through one engine, ready for repeated
 /// execution.  The oracle variant keeps the program tree (its "compile"
-/// is free); the tape and bytecode variants hold their fully resolved
+/// is free); the bytecode and native variants hold their fully resolved
 /// forms, so every subsequent launch skips lowering entirely.
 ///
 /// Variant sizes are allowed to differ: compiled programs are built
@@ -58,8 +58,6 @@ pub enum CompiledProgram {
         /// The bindings the program was specialized for.
         bindings: Bindings,
     },
-    /// Slot-resolved compiled kernel tape.
-    Tape(Tape),
     /// Optimized linear bytecode for the lane-vectorized interpreter.
     Bytecode(ByteCode),
     /// Bytecode annotated with native microkernel regions.
@@ -81,7 +79,6 @@ impl CompiledProgram {
                 program: Box::new(p.clone()),
                 bindings: bindings.clone(),
             }),
-            ExecEngine::Tape => Tape::compile(p, bindings).map(CompiledProgram::Tape),
             ExecEngine::Bytecode => ByteCode::compile(p, bindings).map(CompiledProgram::Bytecode),
             ExecEngine::Native => NativeProgram::compile(p, bindings).map(CompiledProgram::Native),
         }
@@ -95,7 +92,6 @@ impl CompiledProgram {
             CompiledProgram::Oracle { program, bindings } => {
                 crate::exec::exec_program(program, bindings, bufs)
             }
-            CompiledProgram::Tape(t) => t.execute(bufs),
             CompiledProgram::Bytecode(b) => b.execute(bufs),
             CompiledProgram::Native(np) => np.execute(bufs),
         }
@@ -105,7 +101,6 @@ impl CompiledProgram {
     pub fn engine(&self) -> ExecEngine {
         match self {
             CompiledProgram::Oracle { .. } => ExecEngine::Oracle,
-            CompiledProgram::Tape(_) => ExecEngine::Tape,
             CompiledProgram::Bytecode(_) => ExecEngine::Bytecode,
             CompiledProgram::Native(_) => ExecEngine::Native,
         }

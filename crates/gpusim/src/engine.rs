@@ -1,22 +1,23 @@
-//! Engine selection: one entry point over the four executors.
+//! Engine selection: one entry point over the three executors.
 //!
-//! The simulator has four semantically identical engines, in increasing
+//! The simulator has three semantically identical engines, in increasing
 //! order of compilation effort and execution speed:
 //!
 //! 1. **oracle** — the tree-walking reference executor
 //!    ([`exec_program`](crate::exec::exec_program));
-//! 2. **tape** — the slot-resolved compiled tape ([`Tape`]);
-//! 3. **bytecode** — the tape lowered to optimized linear bytecode and
-//!    run on the lane-vectorized interpreter ([`ByteCode`]);
-//! 4. **native** — the bytecode further lowered to specialized host
+//! 2. **bytecode** — the program lowered through the slot-resolved tape IR
+//!    ([`Tape`](crate::tape::Tape)) to optimized linear bytecode and run
+//!    on the lane-vectorized interpreter ([`ByteCode`]);
+//! 3. **native** — the bytecode further lowered to specialized host
 //!    microkernels for its lane-affine inner loop nests, falling back to
 //!    the interpreter everywhere else ([`NativeProgram`]).
 //!
 //! [`exec_program_fast`] is the fast path used by the composer's legality
-//! filter, the BLAS3 verifier and the autotuner. It defaults to the
-//! bytecode engine; set `OA_EXEC_ENGINE=oracle|tape|bytecode|native` to
-//! pin a specific engine (an unrecognized value falls back to the
-//! default, so stale scripts keep working).
+//! filter, the BLAS3 verifier and the autotuner, and the serving registry
+//! takes the same default.  It runs the native engine; set
+//! `OA_EXEC_ENGINE=oracle|bytecode|native` to pin a specific engine (an
+//! unset or unrecognized value, such as `tape`, selects native, so stale
+//! scripts keep working).
 //!
 //! `OA_EXEC_ENGINE` is the *top-level default only*, read once per process
 //! by [`select`].  Code that needs a specific engine (tests, benchmarks,
@@ -33,20 +34,16 @@ use std::sync::OnceLock;
 use crate::bytecode::ByteCode;
 use crate::exec::ExecError;
 use crate::native::NativeProgram;
-use crate::tape::Tape;
 
 /// Which executor to run a program on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecEngine {
     /// Tree-walking reference interpreter (slow, zero compilation).
     Oracle,
-    /// Compiled kernel tape (PR 1 fast path).
-    Tape,
-    /// Optimized linear bytecode on the lane-vectorized interpreter
-    /// (default).
+    /// Optimized linear bytecode on the lane-vectorized interpreter.
     Bytecode,
     /// Bytecode with lane-affine inner loop nests lowered to native host
-    /// microkernels (fastest; interpreter fallback elsewhere).
+    /// microkernels (fastest; interpreter fallback elsewhere; default).
     Native,
 }
 
@@ -55,7 +52,6 @@ impl ExecEngine {
     pub fn parse(name: &str) -> Option<ExecEngine> {
         match name {
             "oracle" => Some(ExecEngine::Oracle),
-            "tape" => Some(ExecEngine::Tape),
             "bytecode" => Some(ExecEngine::Bytecode),
             "native" => Some(ExecEngine::Native),
             _ => None,
@@ -66,35 +62,32 @@ impl ExecEngine {
     pub fn name(self) -> &'static str {
         match self {
             ExecEngine::Oracle => "oracle",
-            ExecEngine::Tape => "tape",
             ExecEngine::Bytecode => "bytecode",
             ExecEngine::Native => "native",
         }
     }
 
     /// All engines, oracle first (the differential-test iteration order).
-    pub const ALL: [ExecEngine; 4] = [
-        ExecEngine::Oracle,
-        ExecEngine::Tape,
-        ExecEngine::Bytecode,
-        ExecEngine::Native,
-    ];
+    pub const ALL: [ExecEngine; 3] = [ExecEngine::Oracle, ExecEngine::Bytecode, ExecEngine::Native];
+}
+
+/// The engine an `OA_EXEC_ENGINE` value selects: the named engine, or
+/// [`ExecEngine::Native`] when the value is unset or unrecognized.
+fn default_engine(value: Option<&str>) -> ExecEngine {
+    value
+        .and_then(ExecEngine::parse)
+        .unwrap_or(ExecEngine::Native)
 }
 
 /// The process-wide default engine: `OA_EXEC_ENGINE`, read **once** on
-/// first use.  Unset or unrecognized values select
-/// [`ExecEngine::Bytecode`] (so stale scripts keep working).
+/// first use.  Unset or unrecognized values select [`ExecEngine::Native`]
+/// (so stale scripts keep working).
 ///
 /// This is the only place the environment influences engine choice; every
 /// other selection point takes an explicit [`ExecEngine`] parameter.
 pub fn select() -> ExecEngine {
     static DEFAULT: OnceLock<ExecEngine> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("OA_EXEC_ENGINE")
-            .ok()
-            .and_then(|v| ExecEngine::parse(&v))
-            .unwrap_or(ExecEngine::Bytecode)
-    })
+    *DEFAULT.get_or_init(|| default_engine(std::env::var("OA_EXEC_ENGINE").ok().as_deref()))
 }
 
 /// Execute `p` on `bufs` with the given engine.
@@ -111,14 +104,13 @@ pub fn exec_program_on(
 ) -> Result<(), ExecError> {
     match engine {
         ExecEngine::Oracle => crate::exec::exec_program(p, bindings, bufs),
-        ExecEngine::Tape => Tape::compile(p, bindings)?.execute(bufs),
         ExecEngine::Bytecode => ByteCode::compile(p, bindings)?.execute(bufs),
         ExecEngine::Native => NativeProgram::compile(p, bindings)?.execute(bufs),
     }
 }
 
 /// Compile and execute `p` on the fast path: the process-default engine
-/// ([`select`]), normally the optimized bytecode interpreter.
+/// ([`select`]), normally the native engine.
 pub fn exec_program_fast(
     p: &Program,
     bindings: &Bindings,
@@ -135,32 +127,30 @@ pub fn exec_program_fast(
 /// its error.
 ///
 /// This is the differential cross-check primitive: the fuzzer and the
-/// cross-engine tests call it once per case and then compare the four
+/// cross-engine tests call it once per case and then compare the three
 /// outcomes for bit-identical buffers or identically-classified errors
 /// ([`ExecError::class`]).
 pub fn exec_all_engines(
     p: &Program,
     bindings: &Bindings,
     bufs: &Buffers,
-) -> [(ExecEngine, Result<Buffers, ExecError>); 4] {
+) -> [(ExecEngine, Result<Buffers, ExecError>); 3] {
     let run = |engine: ExecEngine| {
         let mut mine = bufs.clone();
         exec_program_on(engine, p, bindings, &mut mine).map(|()| mine)
     };
-    let [a, b, c, d] = ExecEngine::ALL;
-    let (ra, rb, rc, rd) = std::thread::scope(|s| {
+    let [a, b, c] = ExecEngine::ALL;
+    let (ra, rb, rc) = std::thread::scope(|s| {
         let hb = s.spawn(|| run(b));
         let hc = s.spawn(|| run(c));
-        let hd = s.spawn(|| run(d));
         let ra = run(a);
         (
             ra,
             hb.join().expect("engine thread panicked"),
             hc.join().expect("engine thread panicked"),
-            hd.join().expect("engine thread panicked"),
         )
     });
-    [(a, ra), (b, rb), (c, rc), (d, rd)]
+    [(a, ra), (b, rb), (c, rc)]
 }
 
 #[cfg(test)]
@@ -202,9 +192,8 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
         }
-        assert_eq!(outs[0], outs[1], "oracle vs tape");
-        assert_eq!(outs[0], outs[2], "oracle vs bytecode");
-        assert_eq!(outs[0], outs[3], "oracle vs native");
+        assert_eq!(outs[0], outs[1], "oracle vs bytecode");
+        assert_eq!(outs[0], outs[2], "oracle vs native");
     }
 
     #[test]
@@ -215,6 +204,17 @@ mod tests {
             let mut bufs = alloc_buffers(&p, &b, 1);
             let err = exec_program_on(engine, &p, &b, &mut bufs).unwrap_err();
             assert!(matches!(err, ExecError::Launch(_)), "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn env_value_selects_named_engine_else_native() {
+        for unset_or_unknown in [None, Some("tape"), Some("no-such-engine"), Some("")] {
+            assert_eq!(default_engine(unset_or_unknown), ExecEngine::Native);
+        }
+        assert_eq!(default_engine(Some("bytecode")), ExecEngine::Bytecode);
+        for engine in ExecEngine::ALL {
+            assert_eq!(default_engine(Some(engine.name())), engine);
         }
     }
 }

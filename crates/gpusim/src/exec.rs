@@ -477,7 +477,7 @@ impl<'a> Engine<'a> {
 /// and return them — the GPU-side analogue of `interp::run_fresh`.
 ///
 /// Uses the fast path ([`crate::engine::exec_program_fast`] —
-/// `OA_EXEC_ENGINE`-selectable, bytecode by default); results are
+/// `OA_EXEC_ENGINE`-selectable, native by default); results are
 /// bit-identical to the tree-walking oracle, which remains available as
 /// [`run_fresh_gpu_ref`].
 pub fn run_fresh_gpu(p: &Program, bindings: &Bindings, seed: u64) -> Result<Buffers, ExecError> {

@@ -9,16 +9,16 @@
 //!   transformed loop nest (the nvcc stand-in);
 //! * [`exec`] — a functional, barrier-stepped executor used as the
 //!   correctness oracle for final kernels;
-//! * [`tape`] — the same semantics compiled once into a slot-resolved
-//!   kernel tape and executed block-parallel with rayon;
+//! * [`tape`] — the lowering IR: a program compiled once into a
+//!   slot-resolved kernel tape (no executor of its own);
 //! * [`bytecode`] / [`vexec`] — the tape lowered to an optimized flat
 //!   bytecode (constant folding, invariant hoisting, strength reduction,
-//!   FMA fusion) and run on a lane-vectorized interpreter;
+//!   FMA fusion) and run block-parallel on a lane-vectorized interpreter;
 //! * [`native`] — the fastest path: the bytecode's lane-affine inner
 //!   loop nests pattern-matched at compile time and executed through
 //!   specialized host SIMD microkernels, interpreter fallback elsewhere;
-//! * [`engine`] — selection among the four engines
-//!   (`OA_EXEC_ENGINE=oracle|tape|bytecode|native`, default bytecode);
+//! * [`engine`] — selection among the three engines
+//!   (`OA_EXEC_ENGINE=oracle|bytecode|native`, default native);
 //! * [`dispatch`] — batched-execution building blocks: compile-once
 //!   programs, the bounded LRU program store, and the shared-queue worker
 //!   pool behind `oa_core::dispatch`'s routine registry;
@@ -59,4 +59,3 @@ pub use launch::{extract_launch, Launch, LaunchError};
 pub use native::{NativeCoverage, NativeProgram, NativeReject};
 pub use perf::{evaluate, EvalError, PerfReport};
 pub use profile::ProfileCounters;
-pub use tape::Tape;

@@ -66,6 +66,21 @@ use crate::exec::ExecError;
 use crate::tape::ArrRef;
 use crate::vexec::VBlock;
 
+/// Process-wide region entries, summed over every [`NativeProgram`] ever
+/// run (per-program counts die with their program, e.g. on LRU eviction).
+static TOTAL_ENTRIES: AtomicU64 = AtomicU64::new(0);
+/// Process-wide interpreter fallbacks, the companion of [`TOTAL_ENTRIES`].
+static TOTAL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide runtime counters `(entries, fallbacks)` over every native
+/// program run so far — the live totals the serve `metrics` op reports.
+pub fn runtime_totals() -> (u64, u64) {
+    (
+        TOTAL_ENTRIES.load(Ordering::Relaxed),
+        TOTAL_FALLBACKS.load(Ordering::Relaxed),
+    )
+}
+
 /// A bytecode program plus its native-lowering side table: the artifact
 /// the `native` engine compiles to.
 #[derive(Debug)]
@@ -1197,9 +1212,11 @@ impl VBlock<'_> {
         );
         if !self.mask_full() || !self.native_preflight(region) {
             nat.fallbacks.fetch_add(1, Ordering::Relaxed);
+            TOTAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         nat.entries.fetch_add(1, Ordering::Relaxed);
+        TOTAL_ENTRIES.fetch_add(1, Ordering::Relaxed);
         self.native_replay(region);
         self.native_writeback(region);
         Some(region.resume)

@@ -1,7 +1,8 @@
-//! Lane-vectorized execution of [`ByteCode`]: the fastest of the three
-//! engines.
+//! Lane-vectorized execution of [`ByteCode`]: the interpreter behind the
+//! bytecode engine, and the driver the native tier's microkernels plug
+//! into.
 //!
-//! The tape executor walks its `Op` tree once *per simulated thread*; this
+//! The oracle walks its statement tree once *per simulated thread*; this
 //! interpreter walks the flat instruction stream once *per block*, applying
 //! each instruction across all lanes (threads) of the block in lockstep:
 //!
@@ -18,8 +19,20 @@
 //!   are a cache-slot read kept fresh by `StepAdd`, not an affine dot
 //!   product.
 //!
-//! Equivalence with the tape: within one barrier-free segment the tape runs
-//! thread `t` to completion before thread `t+1`, while this engine runs
+//! Execution is **block-parallel**: CUDA blocks are independent in every
+//! kernel this framework generates, so the grid is fanned out with rayon.
+//! Each block runs against an immutable snapshot of global memory plus a
+//! private write overlay (read-your-writes within the block); overlays are
+//! merged into the buffers sequentially in `(by, bx)` order afterwards.
+//! Within one block the overlay holds one final value per distinct
+//! element, and across blocks the sequential merge reproduces the block
+//! loop order of the oracle, so results are bit-identical to
+//! `exec_program` whenever no block reads another block's output — which
+//! holds for all generated kernels and is enforced by the
+//! `engine_differential` test over the full 24-routine pipeline.
+//!
+//! Equivalence with the oracle: within one barrier-free segment the oracle
+//! runs thread `t` to completion before thread `t+1`, while this engine runs
 //! lanes in lockstep per instruction. The two orders can differ only when
 //! lanes of the same segment touch the *same* element — a data race no
 //! generated kernel exhibits (each thread owns its output elements between
@@ -69,8 +82,8 @@ thread_local! {
 
 impl ByteCode {
     /// Execute on the given buffers: prologue kernels, blank-zero checks,
-    /// then the block-parallel grid with the same deterministic `(by, bx)`
-    /// overlay merge as the tape engine.
+    /// then the block-parallel grid with the deterministic `(by, bx)`
+    /// overlay merge (the oracle's block order).
     pub fn execute(&self, bufs: &mut Buffers) -> Result<(), ExecError> {
         self.execute_impl(bufs, None)
     }
@@ -714,7 +727,7 @@ impl VBlock<'_> {
                     let b = &src[b as usize * n..][..n];
                     let c = &src[c as usize * n..][..n];
                     // Two separately rounded operations, never a fused
-                    // mul_add: bit-identical to the tape's tree walk.
+                    // mul_add: bit-identical to the oracle's tree walk.
                     let lanes = d.iter_mut().zip(a).zip(b).zip(c);
                     match (op, mul_first) {
                         (BinOp::Add, true) => lanes.for_each(|(((d, a), b), c)| *d = a * b + c),
@@ -798,7 +811,7 @@ impl VBlock<'_> {
     }
 
     /// Cooperative staging: one whole-tile copy per block, evaluated on
-    /// lane 0's frame with `thread0 = true`, exactly like the tape.
+    /// lane 0's frame with `thread0 = true`, exactly like the oracle.
     /// Always runs in a uniform (all-lanes) context.
     fn stage(&mut self, ix: u32) {
         let st = self.bc.stages[ix as usize];
@@ -810,7 +823,7 @@ impl VBlock<'_> {
         for c in 0..st.cols {
             for r in 0..st.rows {
                 // Symmetry mode reads blank-side elements from their global
-                // mirror, exactly as the oracle and the tape do.
+                // mirror, exactly as the oracle does.
                 let (gsr, gsc) = stage_src_coords(st.mode, st.src_fill, r0 + r, c0 + c);
                 self.frames[sr] = gsr;
                 self.frames[sc] = gsc;
@@ -834,7 +847,7 @@ impl VBlock<'_> {
     }
 
     /// Register-tile load/store nest for every active lane, mirroring the
-    /// tape's per-thread `RegMove` (including the `__gr`/`__gc` specials
+    /// tape's per-thread `RegMove` op (including the `__gr`/`__gc` specials
     /// the guard may consult).
     fn reg_move(&mut self, ix: u32) {
         let mv = self.bc.moves[ix as usize];

@@ -3,16 +3,16 @@
 //! `engine_differential` pins one tile shape per solver class; this test
 //! draws *randomized* tile/unroll parameter points per routine (from a
 //! deterministic xorshift PRNG, so failures replay exactly) and asserts
-//! that the tree-walking oracle, the compiled tape, the lane-vectorized
-//! bytecode interpreter and the native microkernel tier produce
-//! bit-identical buffers on every launchable composer variant.  Random shapes exercise lowering paths the pinned
+//! that the tree-walking oracle, the lane-vectorized bytecode interpreter
+//! and the native microkernel tier produce bit-identical buffers on every
+//! launchable composer variant.  Random shapes exercise lowering paths the pinned
 //! shapes cannot: partial unrolls, 1-wide thread groups, register tiles
 //! of different aspect ratios, shallow and deep K tiles — each a
 //! different mix of guards, peel bands and address strides for the
 //! bytecode optimizer to chew on.  (Problem sizes stay tile-divisible:
 //! like the paper's generator, the schemes assume padded inputs.)
 //!
-//! Points the composer or the tape rejects (illegal shape for the scheme)
+//! Points the composer or the lowering rejects (illegal shape for the scheme)
 //! are skipped, exactly as the pipeline itself would skip them; the test
 //! asserts that enough points survive per routine to be meaningful.
 
@@ -20,7 +20,7 @@ use oa_core::blas3::schemes::oa_scheme;
 use oa_core::blas3::verify::prepare_buffers;
 use oa_core::composer::compose;
 use oa_core::gpusim::exec::ExecError;
-use oa_core::gpusim::{exec_program, ByteCode, NativeProgram, Tape};
+use oa_core::gpusim::{exec_program, ByteCode, NativeProgram};
 use oa_core::loopir::interp::{Bindings, Buffers};
 use oa_core::loopir::transform::TileParams;
 use oa_core::RoutineId;
@@ -121,11 +121,9 @@ fn randomized_tile_points_are_bit_identical_across_engines() {
                     continue;
                 };
                 for v in variants {
-                    let Ok(tape) = Tape::compile(&v.program, &bindings) else {
+                    let Ok(bc) = ByteCode::compile(&v.program, &bindings) else {
                         continue;
                     };
-                    let bc = ByteCode::compile(&v.program, &bindings)
-                        .unwrap_or_else(|e| panic!("{}: bytecode lowering failed: {e}", r.name()));
                     let native = NativeProgram::compile(&v.program, &bindings)
                         .unwrap_or_else(|e| panic!("{}: native lowering failed: {e}", r.name()));
                     let ctx = format!(
@@ -141,14 +139,6 @@ fn randomized_tile_points_are_bit_identical_across_engines() {
                         // value comparison, but every engine must agree on
                         // the verdict.
                         Err(ExecError::BarrierDivergence(_)) => {
-                            let mut t = prepare_buffers(&v.program, n, 0xF00D, zero_blanks);
-                            assert!(
-                                matches!(
-                                    tape.execute(&mut t),
-                                    Err(ExecError::BarrierDivergence(_))
-                                ),
-                                "{ctx}: oracle diverged but tape did not"
-                            );
                             let mut b = prepare_buffers(&v.program, n, 0xF00D, zero_blanks);
                             assert!(
                                 matches!(bc.execute(&mut b), Err(ExecError::BarrierDivergence(_))),
@@ -166,11 +156,6 @@ fn randomized_tile_points_are_bit_identical_across_engines() {
                         }
                         Err(e) => panic!("{ctx}: oracle failed: {e}"),
                     }
-
-                    let mut tape_out = prepare_buffers(&v.program, n, 0xF00D, zero_blanks);
-                    tape.execute(&mut tape_out)
-                        .unwrap_or_else(|e| panic!("{ctx}: tape failed: {e}"));
-                    assert_bit_identical(&oracle, &tape_out, &ctx);
 
                     let mut bc_out = prepare_buffers(&v.program, n, 0xF00D, zero_blanks);
                     bc.execute(&mut bc_out)

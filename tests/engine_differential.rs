@@ -1,7 +1,6 @@
-//! Differential test between the four GPU execution engines.
+//! Differential test between the three GPU execution engines.
 //!
-//! The compiled-tape block-parallel executor (`oa_gpusim::tape`), the
-//! lane-vectorized bytecode interpreter (`oa_gpusim::bytecode` +
+//! The lane-vectorized bytecode interpreter (`oa_gpusim::bytecode` +
 //! `oa_gpusim::vexec`) and the native microkernel tier
 //! (`oa_gpusim::native`) must be **bit-identical** — not merely within
 //! tolerance — to the tree-walking oracle (`oa_gpusim::exec`) on every
@@ -15,14 +14,15 @@
 //! bytecode lowering, a mis-lowered native region) shows up as a
 //! differing bit pattern here.
 //!
-//! A second pass re-executes the same tape and asserts the outputs agree
-//! bit-for-bit with the first parallel run: scheduling must never leak
-//! into results.
+//! A second pass re-executes the same native program and asserts the
+//! outputs agree bit-for-bit with the first parallel run: scheduling (and
+//! the native tier's per-program runtime state) must never leak into
+//! results.
 
 use oa_core::blas3::schemes::oa_scheme;
 use oa_core::blas3::verify::prepare_buffers;
 use oa_core::composer::compose;
-use oa_core::gpusim::{exec_program, ByteCode, NativeProgram, Tape};
+use oa_core::gpusim::{exec_program, ByteCode, NativeProgram};
 use oa_core::loopir::interp::{Bindings, Buffers};
 use oa_core::loopir::transform::TileParams;
 use oa_core::RoutineId;
@@ -84,11 +84,9 @@ fn compiled_engines_are_bit_identical_to_oracle_on_all_24_routines() {
                 .unwrap_or_else(|e| panic!("{}: composer failed: {e}", r.name()));
             for v in variants {
                 // Unlaunchable variants have no GPU execution to compare.
-                let Ok(tape) = Tape::compile(&v.program, &bindings) else {
+                let Ok(bc) = ByteCode::compile(&v.program, &bindings) else {
                     continue;
                 };
-                let bc = ByteCode::compile(&v.program, &bindings)
-                    .unwrap_or_else(|e| panic!("{}: bytecode lowering failed: {e}", r.name()));
                 let native = NativeProgram::compile(&v.program, &bindings)
                     .unwrap_or_else(|e| panic!("{}: native lowering failed: {e}", r.name()));
                 for zero_blanks in [true, false] {
@@ -101,11 +99,6 @@ fn compiled_engines_are_bit_identical_to_oracle_on_all_24_routines() {
                     exec_program(&v.program, &bindings, &mut oracle)
                         .unwrap_or_else(|e| panic!("{ctx}: oracle failed: {e}"));
 
-                    let mut fast = prepare_buffers(&v.program, n, 0xFACE, zero_blanks);
-                    tape.execute(&mut fast)
-                        .unwrap_or_else(|e| panic!("{ctx}: tape failed: {e}"));
-                    assert_buffers_bit_identical(&oracle, &fast, &ctx);
-
                     let mut vec_out = prepare_buffers(&v.program, n, 0xFACE, zero_blanks);
                     bc.execute(&mut vec_out)
                         .unwrap_or_else(|e| panic!("{ctx}: bytecode failed: {e}"));
@@ -117,12 +110,13 @@ fn compiled_engines_are_bit_identical_to_oracle_on_all_24_routines() {
                         .unwrap_or_else(|e| panic!("{ctx}: native failed: {e}"));
                     assert_buffers_bit_identical(&oracle, &nat_out, &ctx);
 
-                    // Determinism: a second parallel run of the same tape
-                    // reproduces the first bit-for-bit.
+                    // Determinism: a second parallel run of the same native
+                    // program reproduces the first bit-for-bit.
                     let mut again = prepare_buffers(&v.program, n, 0xFACE, zero_blanks);
-                    tape.execute(&mut again)
-                        .unwrap_or_else(|e| panic!("{ctx}: tape re-run failed: {e}"));
-                    assert_buffers_bit_identical(&fast, &again, &ctx);
+                    native
+                        .execute(&mut again)
+                        .unwrap_or_else(|e| panic!("{ctx}: native re-run failed: {e}"));
+                    assert_buffers_bit_identical(&nat_out, &again, &ctx);
                     checked += 1;
                 }
             }

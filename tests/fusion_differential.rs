@@ -1,12 +1,12 @@
 //! The fusion chain-test battery: expression-DAG plans, fused vs.
-//! sequenced, differentially proven bit-identical on all four engines.
+//! sequenced, differentially proven bit-identical on all three engines.
 //!
 //! The fusion pass splices a consumer's loop nest into its producer so
 //! the intermediate never round-trips through global memory.  That is a
 //! rewrite of executable code, so the only honest proof is differential:
 //! for every chain the battery runs the **fused** plan and the
 //! **sequenced** plan (fusion disabled) through the tree-walking oracle,
-//! the compiled tape, the linear bytecode and the native-SIMD tier, and
+//! the linear bytecode and the native-SIMD tier, and
 //! demands one digest — bit for bit, engine for engine, plan for plan.
 //!
 //! The battery also proves itself: a mutation that silently reverses the
@@ -22,13 +22,6 @@ use oa_core::autotune::fuse::{
 use oa_core::gpusim::ExecEngine;
 use oa_core::{DagRequest, DeviceSpec};
 
-const ENGINES: [ExecEngine; 4] = [
-    ExecEngine::Oracle,
-    ExecEngine::Tape,
-    ExecEngine::Bytecode,
-    ExecEngine::Native,
-];
-
 fn parse(line: &str) -> DagRequest {
     let doc = oa_core::autotune::json::parse(line).expect("valid JSON");
     DagRequest::from_json(&doc).unwrap_or_else(|e| panic!("{}: {}", e.class, e.reason))
@@ -42,7 +35,7 @@ fn env(engine: ExecEngine) -> FuseEnv {
 /// everywhere and return it together with the fused run's edge count.
 fn differential(req: &DagRequest, want_fused_edges: usize) -> u64 {
     let mut digests: Vec<u64> = Vec::new();
-    for engine in ENGINES {
+    for engine in ExecEngine::ALL {
         let mut env = env(engine);
         let fused = env
             .run_dag(&req.nodes, req.n, req.seed, true)
@@ -118,7 +111,7 @@ fn unfusable_chain_demotes_and_matches_everywhere() {
         r#"{"dag": [{"id": "mm", "routine": "GEMM-NN", "a": "A", "b": "B", "c": "C"},
             {"id": "tri", "routine": "TRSM-LL-N", "a": "@mm", "b": "R"}], "n": 64, "seed": 5}"#,
     );
-    for engine in ENGINES {
+    for engine in ExecEngine::ALL {
         let mut env = env(engine);
         let fused = env
             .run_dag(&req.nodes, req.n, req.seed, true)

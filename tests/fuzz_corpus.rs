@@ -70,7 +70,7 @@ fn dag_corpus_parses_in_fuzzer_and_server() {
 
 /// Replaying the DAG seeds through the stripe must stay divergence-free
 /// — fused and sequenced plans agree bit for bit (or reject with one
-/// identical error, e.g. the off-tile solver seed) on all four engines.
+/// identical error, e.g. the off-tile solver seed) on all three engines.
 #[test]
 fn dag_corpus_replays_without_divergence() {
     let files = list_dags(&corpus_dir()).expect("corpus directory must exist");

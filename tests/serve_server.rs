@@ -312,6 +312,34 @@ fn metrics_and_health_introspection() {
     assert_eq!(stats.admitted, 1);
 }
 
+/// On the default (native) engine, a warm GEMM request enters native
+/// regions, and `metrics` reports the process-wide counts live.
+#[test]
+fn metrics_report_live_native_counts() {
+    let server = spawn_server(
+        Arc::new(registry()),
+        Listener::bind("127.0.0.1:0").expect("bind"),
+        config(1),
+        TraceMode::Off,
+    );
+    let req = Request::new(RoutineId::parse("GEMM-NN").unwrap(), 128)
+        .to_json()
+        .compact();
+    // Cold (resolve + compile), then warm (program LRU hit).
+    for _ in 0..2 {
+        let out = drive(server.addr(), std::slice::from_ref(&req), 1);
+        assert_eq!(field(&parse(&out[0]), "status").as_str(), Some("ok"));
+    }
+    let resp = drive(server.addr(), &[r#"{"op":"metrics"}"#.to_string()], 1);
+    let metrics = parse(&resp[0]);
+    let entries = field(&metrics, "native_entries").as_i64().unwrap();
+    assert!(entries > 0, "no native entries: {}", resp[0]);
+    field(&metrics, "native_fallbacks")
+        .as_i64()
+        .expect("integer fallback count");
+    server.shutdown_and_join();
+}
+
 /// An input source that only reaches EOF after the output already holds
 /// the first result line — the slurping implementation (read all input,
 /// then run, then print) deadlocks here; the streaming one sails
