@@ -315,8 +315,10 @@ pub struct ServeStats {
 /// Per-program coverage of the native microkernel tier, carried by
 /// [`TuneEvent::NativeCoverage`].  `entries` counts region executions
 /// that ran natively, `fallbacks` those handed back to the interpreter
-/// at runtime; `rejects` is the deduplicated compile-time reject
-/// histogram (kebab-case reason → count), most frequent first.
+/// at runtime; `loop_records` counts register-tile loops replayed as
+/// one kernel and `instances` the statement instances replayed (one per
+/// loop-record iteration); `rejects` is the deduplicated compile-time
+/// reject histogram (kebab-case reason → count), most frequent first.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NativeCoverageStats {
     /// Routine name.
@@ -327,6 +329,10 @@ pub struct NativeCoverageStats {
     pub entries: u64,
     /// Region executions that fell back to the interpreter.
     pub fallbacks: u64,
+    /// Loop records replayed.
+    pub loop_records: u64,
+    /// Statement instances replayed.
+    pub instances: u64,
     /// Deduplicated compile-time reject reasons with counts.
     pub rejects: Vec<(String, u64)>,
 }

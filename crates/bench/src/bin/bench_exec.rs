@@ -12,15 +12,23 @@
 //!
 //! Reports wall-clock per launch, blocks/second and effective GFLOPS for
 //! each, plus per-row and geomean oracle→bytecode and bytecode→native
-//! speedups, and writes the measurements to `BENCH_exec.json`.  The
-//! `GEMM-NN-inner` row is a register-tiled kernel whose deep K tile makes
-//! the inner FMA nest dominate — the shape the native tier targets.
-//! `--quick` (alias `--smoke`) trims the routine set and iteration budget
-//! for smoke runs.
+//! speedups, and writes the measurements to `BENCH_exec.json`.  Native
+//! runs twice: on every worker thread, and on the calling thread alone
+//! (the single-thread column).  A host-peak probe — two-rounding mul+add
+//! chains on one core, at each vector width up to the runtime SIMD width
+//! — puts each row's native GFLOPS beside the peak.  The `GEMM-NN-inner` row is a
+//! register-tiled kernel whose deep K tile makes the inner FMA nest
+//! dominate; the `*-t32x16` / `*-t16x16` rows are the two register-tile
+//! shapes the tuner picks for the n = 128 serving routines.  A GEMM-family
+//! row that replays no loop record fails the run: the native tier fell
+//! back to per-instance replay without saying so.  `--quick` (alias
+//! `--smoke`) trims the routine set and iteration budget for smoke runs.
 
 use oa_core::autotune::json::Json;
 use oa_core::autotune::report::{NativeCoverageStats, TuneEvent};
 use oa_core::blas3::baselines::cublas_like;
+use oa_core::blas3::routines::source;
+use oa_core::epod::{apply_strict, parser::parse_script};
 use oa_core::gpusim::{exec_program, ByteCode, DeviceSpec, NativeProgram};
 use oa_core::loopir::builder::{gemm_nn_like, syrk_ln_like};
 use oa_core::loopir::interp::{alloc_buffers, Bindings, Buffers};
@@ -64,6 +72,8 @@ struct Measurement {
     legacy_secs: f64,
     bytecode_secs: f64,
     native_secs: f64,
+    /// Native on the calling thread only.
+    native_1t_secs: f64,
     coverage: NativeCoverageStats,
 }
 
@@ -97,6 +107,9 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
     let native_secs = time_launches(budget, 200, &base, |bufs| {
         native.execute(bufs).expect("native exec");
     });
+    let native_1t_secs = time_launches(budget, 200, &base, |bufs| {
+        rayon::in_place(|| native.execute(bufs)).expect("native exec");
+    });
     let bytecode_secs = time_launches(budget, 200, &base, |bufs| {
         bc.execute(bufs).expect("bytecode exec");
     });
@@ -112,6 +125,8 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
         regions: cov.regions,
         entries: cov.entries,
         fallbacks: cov.fallbacks,
+        loop_records: cov.loop_records,
+        instances: cov.instances,
         rejects: cov
             .rejects
             .iter()
@@ -127,6 +142,7 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
         legacy_secs,
         bytecode_secs,
         native_secs,
+        native_1t_secs,
         coverage,
     }
 }
@@ -155,6 +171,146 @@ fn gemm_inner_block() -> Program {
     sm_alloc(&mut p, "B", oa_core::loopir::AllocMode::Transpose).unwrap();
     reg_alloc(&mut p, "C").unwrap();
     p
+}
+
+/// A routine under one of the tuner's serving scripts at fixed tile
+/// parameters: the register-tile shapes the n = 128 serving library runs.
+fn tuned_shape(r: RoutineId, script: &str, params: TileParams) -> Program {
+    let script = parse_script(script).expect("serving script parses");
+    apply_strict(&source(r), &script, params).expect("serving script applies")
+}
+
+/// The two serving tile shapes: `[ty, tx, thr_i, thr_j, kb]` =
+/// `[32, 16, 32, 1, 16]` (32-lane blocks, a 16-wide register tile whose
+/// index moves every iteration) and `[16, 16, 16, 16, 16]` (256-lane
+/// blocks, one accumulator per lane over the K tile).
+fn serving_shapes() -> Vec<(String, RoutineId, Program)> {
+    let gemm_nn = RoutineId::Gemm(Trans::N, Trans::N);
+    let gemm_tn = RoutineId::Gemm(Trans::T, Trans::N);
+    let shape = |ty, tx, thr_i, thr_j| TileParams {
+        ty,
+        tx,
+        thr_i,
+        thr_j,
+        kb: 16,
+        unroll: 0,
+    };
+    vec![
+        (
+            "GEMM-NN-t32x16".to_string(),
+            gemm_nn,
+            tuned_shape(
+                gemm_nn,
+                "(Lii, Ljj) = thread_grouping((Li, Lj));
+                 (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
+                 loop_unroll(Ljjj, Lkkk);
+                 SM_alloc(B, Transpose);
+                 reg_alloc(C);",
+                shape(32, 16, 32, 1),
+            ),
+        ),
+        (
+            "GEMM-TN-t16x16".to_string(),
+            gemm_tn,
+            tuned_shape(
+                gemm_tn,
+                "(Lii, Ljj) = thread_grouping((Li, Lj));
+                 (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
+                 loop_unroll(Ljjj, Lkkk);
+                 SM_alloc(B, Transpose);
+                 SM_alloc(A, NoChange);
+                 reg_alloc(C);",
+                shape(16, 16, 16, 16),
+            ),
+        ),
+    ]
+}
+
+/// Lanes of the widest f32 vector unit the host reports at runtime.
+fn simd_width() -> usize {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return 16;
+        }
+        if std::arch::is_x86_feature_detected!("avx") {
+            return 8;
+        }
+    }
+    4
+}
+
+/// Eight independent chains of `W` lanes, `iters` steps of
+/// `t = c·a; c = t + b` (two roundings, like every engine; the values
+/// settle at `b / (1 − a)` = 1, so no denormals): enough chains to hide
+/// the mul→add latency, so the loop runs at the host's throughput.  The
+/// chains are separate locals so they stay in vector registers.
+#[inline(always)]
+fn peak_chain<const W: usize>(iters: usize) -> f32 {
+    #[inline(always)]
+    fn step<const W: usize>(c: &mut [f32; W], a: &[f32; W], b: &[f32; W]) {
+        for l in 0..W {
+            let t = c[l] * a[l];
+            c[l] = t + b[l];
+        }
+    }
+    let a = std::hint::black_box([0.999_999f32; W]);
+    let b = std::hint::black_box([1.0e-6f32; W]);
+    let [mut c0, mut c1, mut c2, mut c3, mut c4, mut c5, mut c6, mut c7] =
+        std::hint::black_box([[1.0f32; W]; 8]);
+    for _ in 0..iters {
+        step(&mut c0, &a, &b);
+        step(&mut c1, &a, &b);
+        step(&mut c2, &a, &b);
+        step(&mut c3, &a, &b);
+        step(&mut c4, &a, &b);
+        step(&mut c5, &a, &b);
+        step(&mut c6, &a, &b);
+        step(&mut c7, &a, &b);
+    }
+    [c0, c1, c2, c3, c4, c5, c6, c7].iter().flatten().sum()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn peak_chain_avx512(iters: usize) -> f32 {
+    peak_chain::<16>(iters)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn peak_chain_avx(iters: usize) -> f32 {
+    peak_chain::<8>(iters)
+}
+
+/// One core's f32 GFLOPS peak, counting the mul and the add: the best
+/// of three runs of [`peak_chain`] at each vector width up to the
+/// runtime SIMD width (a wider unit is not always the faster one: code
+/// generation or the host may favour a narrower one).  Returns the peak
+/// and the width that reached it.
+fn host_peak_gflops(max_width: usize) -> (f64, usize) {
+    let iters = 1_000_000usize;
+    let mut best = (0.0f64, 4usize);
+    for width in [4usize, 8, 16].into_iter().filter(|&w| w <= max_width) {
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let v = match width {
+                // SAFETY: `simd_width` reports a width only after the
+                // runtime check found its feature.
+                #[cfg(target_arch = "x86_64")]
+                16 => unsafe { peak_chain_avx512(iters) },
+                #[cfg(target_arch = "x86_64")]
+                8 => unsafe { peak_chain_avx(iters) },
+                _ => peak_chain::<4>(iters),
+            };
+            std::hint::black_box(v);
+            let gflops = (2 * 8 * width * iters) as f64 / t0.elapsed().as_secs_f64() / 1e9;
+            if gflops > best.0 {
+                best = (gflops, width);
+            }
+        }
+    }
+    best
 }
 
 /// The register-tiled SYRK-LN pipeline (rank-K update of the lower
@@ -204,9 +360,24 @@ fn main() {
     let trsm_n = if quick { 64 } else { tri_n };
     cases.push((RoutineId::Trsm(Side::Left, Uplo::Lower, Trans::N), trsm_n));
 
+    let width = simd_width();
+    let (peak, peak_width) = host_peak_gflops(width);
     println!(
-        "{:<14} {:>5} {:>7} {:>11} {:>11} {:>11} {:>8} {:>8} {:>10}",
-        "routine", "n", "blocks", "legacy ms", "bc ms", "native ms", "bc/leg", "nat/bc", "GFLOPS"
+        "host peak: {peak:.2} GFLOPS on one core ({peak_width} f32 lanes; SIMD width {width})\n"
+    );
+    println!(
+        "{:<15} {:>5} {:>7} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>10} {:>7}",
+        "routine",
+        "n",
+        "blocks",
+        "legacy ms",
+        "bc ms",
+        "native ms",
+        "nat 1t ms",
+        "bc/leg",
+        "nat/bc",
+        "GFLOPS",
+        "1t/peak"
     );
     let mut measurements = Vec::new();
     for &(r, n) in &cases {
@@ -230,6 +401,17 @@ fn main() {
     let syrk = syrk_ln(tri_n);
     let syrk_flops = tri_n as f64 * tri_n as f64 * (tri_n as f64 + 1.0);
     measurements.push(measure_program("SYRK-LN", &syrk, tri_n, syrk_flops, budget));
+    // The serving tile shapes at the serving size (n = 64 on smoke runs).
+    let shape_n = if quick { 64 } else { 128 };
+    for (label, r, p) in serving_shapes() {
+        measurements.push(measure_program(
+            &label,
+            &p,
+            shape_n,
+            r.flops(shape_n),
+            budget,
+        ));
+    }
 
     let mut rows = Vec::new();
     let mut log_speedup_sum = 0.0;
@@ -239,19 +421,22 @@ fn main() {
         let gflops = m.flops / m.bytecode_secs / 1e9;
         let native_gflops = m.flops / m.native_secs / 1e9;
         let legacy_gflops = m.flops / m.legacy_secs / 1e9;
+        let native_1t_gflops = m.flops / m.native_1t_secs / 1e9;
         log_speedup_sum += m.speedup().ln();
         log_native_sum += m.native_speedup().ln();
         println!(
-            "{:<14} {:>5} {:>7} {:>11.3} {:>11.3} {:>11.3} {:>7.2}x {:>7.2}x {:>10.4}",
+            "{:<15} {:>5} {:>7} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>7.2}x {:>7.2}x {:>10.4} {:>6.2}%",
             m.routine,
             m.n,
             m.blocks,
             m.legacy_secs * 1e3,
             m.bytecode_secs * 1e3,
             m.native_secs * 1e3,
+            m.native_1t_secs * 1e3,
             m.speedup(),
             m.native_speedup(),
-            native_gflops
+            native_gflops,
+            100.0 * native_1t_gflops / peak
         );
         rows.push(Json::Obj(BTreeMap::from([
             ("routine".to_string(), Json::Str(m.routine.clone())),
@@ -265,6 +450,16 @@ fn main() {
             ("blocks_per_sec".to_string(), Json::Num(blocks_per_sec)),
             ("bytecode_gflops".to_string(), Json::Num(gflops)),
             ("native_gflops".to_string(), Json::Num(native_gflops)),
+            ("native_1t_secs".to_string(), Json::Num(m.native_1t_secs)),
+            ("native_1t_gflops".to_string(), Json::Num(native_1t_gflops)),
+            (
+                "native_peak_fraction".to_string(),
+                Json::Num(native_gflops / (peak * rayon_threads() as f64)),
+            ),
+            (
+                "native_1t_peak_fraction".to_string(),
+                Json::Num(native_1t_gflops / peak),
+            ),
             ("legacy_gflops".to_string(), Json::Num(legacy_gflops)),
             (
                 "native_coverage".to_string(),
@@ -274,6 +469,14 @@ fn main() {
                     (
                         "fallbacks".to_string(),
                         Json::Int(m.coverage.fallbacks as i64),
+                    ),
+                    (
+                        "loop_records".to_string(),
+                        Json::Int(m.coverage.loop_records as i64),
+                    ),
+                    (
+                        "instances".to_string(),
+                        Json::Int(m.coverage.instances as i64),
                     ),
                     (
                         "rejects".to_string(),
@@ -308,11 +511,17 @@ fn main() {
                 "functional-executor wall clock: tree-walking oracle vs lane-vectorized \
                  block-parallel linear bytecode vs native microkernels; speedup and \
                  bytecode_geomean_speedup are oracle -> bytecode; GFLOPS are simulation \
-                 throughput, not modeled device GFLOPS"
+                 throughput, not modeled device GFLOPS; native_1t_* run on one thread; \
+                 host_peak_gflops is one core's two-rounding mul+add peak, best over vector \
+                 widths up to simd_width (host_peak_width reached it), native_peak_fraction divides by it times threads"
                     .to_string(),
             ),
         ),
         ("threads".to_string(), Json::Num(rayon_threads() as f64)),
+        ("mode".to_string(), Json::Str(key_mode(quick).to_string())),
+        ("simd_width".to_string(), Json::Num(width as f64)),
+        ("host_peak_gflops".to_string(), Json::Num(peak)),
+        ("host_peak_width".to_string(), Json::Num(peak_width as f64)),
         ("bytecode_geomean_speedup".to_string(), Json::Num(geomean)),
         (
             "native_geomean_speedup".to_string(),
@@ -323,9 +532,22 @@ fn main() {
     std::fs::write("BENCH_exec.json", doc.pretty() + "\n").expect("write BENCH_exec.json");
     println!("\nwrote BENCH_exec.json");
 
+    // A GEMM-family kernel is exactly the register-tile loop the loop
+    // records exist for: replaying none means a silent per-instance
+    // fallback.
+    let silent: Vec<&str> = measurements
+        .iter()
+        .filter(|m| m.routine.starts_with("GEMM") && m.coverage.loop_records == 0)
+        .map(|m| m.routine.as_str())
+        .collect();
+    if !silent.is_empty() {
+        eprintln!("FAIL: GEMM-family rows replayed no loop record: {silent:?}");
+        std::process::exit(1);
+    }
+
     // Perf floor: the committed geomean minus 10% slack.  CI fails the
     // build when a fresh run regresses below it.
-    let key = if quick { "smoke" } else { "full" };
+    let key = key_mode(quick);
     match std::fs::read_to_string("results/native_floor.json") {
         Ok(text) => {
             let floor = oa_core::autotune::json::parse(&text)
@@ -342,6 +564,15 @@ fn main() {
             println!("native geomean {native_geomean:.2}x >= `{key}` floor {floor:.2}x - 10%");
         }
         Err(_) => println!("no results/native_floor.json here; floor check skipped"),
+    }
+}
+
+/// The run mode, which is also the floor key in `results/native_floor.json`.
+fn key_mode(quick: bool) -> &'static str {
+    if quick {
+        "smoke"
+    } else {
+        "full"
     }
 }
 

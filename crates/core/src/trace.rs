@@ -212,6 +212,8 @@ pub fn event_json(e: &TuneEvent) -> Json {
             ("regions", Json::Int(c.regions as i64)),
             ("entries", Json::Int(c.entries as i64)),
             ("fallbacks", Json::Int(c.fallbacks as i64)),
+            ("loop_records", Json::Int(c.loop_records as i64)),
+            ("instances", Json::Int(c.instances as i64)),
             (
                 "rejects",
                 Json::Obj(
@@ -358,8 +360,9 @@ pub fn event_pretty(e: &TuneEvent) -> String {
                     .join(", ")
             };
             format!(
-                "nativ {} {} region(s): {} entries, {} fallbacks, rejects {rejects}",
-                c.routine, c.regions, c.entries, c.fallbacks
+                "nativ {} {} region(s): {} entries, {} fallbacks, {} loop records, \
+                 {} instances, rejects {rejects}",
+                c.routine, c.regions, c.entries, c.fallbacks, c.loop_records, c.instances
             )
         }
         TuneEvent::Fuse(f) => {
@@ -664,6 +667,14 @@ pub fn check_stream(text: &str) -> Result<String, String> {
                         "native_coverage counts {entries} entries with no lowered region"
                     )));
                 }
+                let loop_records = field("loop_records")?;
+                let instances = field("instances")?;
+                if loop_records > instances {
+                    return Err(at(format!(
+                        "native_coverage counts {loop_records} loop records but only \
+                         {instances} instances"
+                    )));
+                }
             }
             "batch" => {
                 if in_tune {
@@ -956,11 +967,15 @@ mod tests {
             regions: 1,
             entries: 4,
             fallbacks: 0,
+            loop_records: 3,
+            instances: 48,
             rejects: vec![("store-shape".into(), 2)],
         });
         let line = event_json(&e).compact();
         assert!(line.contains("\"event\":\"native_coverage\""));
         assert!(line.contains("\"entries\":4"));
+        assert!(line.contains("\"loop_records\":3"));
+        assert!(event_pretty(&e).contains("3 loop records, 48 instances"));
         assert!(line.contains("\"store-shape\":2"));
         assert!(event_pretty(&e).contains("store-shape×2"));
 
@@ -972,6 +987,11 @@ mod tests {
         assert!(check_stream(&format!("{batch}\n{bad}\n"))
             .unwrap_err()
             .contains("no lowered region"));
+        // A loop record replays at least one instance.
+        let bad = line.replace("\"instances\":48", "\"instances\":2");
+        assert!(check_stream(&format!("{batch}\n{bad}\n"))
+            .unwrap_err()
+            .contains("loop records"));
     }
 
     #[test]

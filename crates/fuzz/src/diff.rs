@@ -288,6 +288,9 @@ pub fn run_case(case: &Case, fault: Option<&InjectedFault>) -> (Verdict, BTreeSe
                         if fallbacks > 0 {
                             features.insert("native:fallback".into());
                         }
+                        if np.coverage().loop_records > 0 {
+                            features.insert("native:loop-record".into());
+                        }
                         if entries == 0 {
                             features.insert("native:fallback-only".into());
                             if provable_native_entry(case) {

@@ -38,9 +38,19 @@
 //!   would;
 //! * **sequential trace replay** — statement instances execute in
 //!   exactly the interpreter's order, each over its recorded lane box
-//!   through a fused vector kernel (or a generic vectorized op-by-op
-//!   path), so floating-point effects are reproduced operation for
-//!   operation;
+//!   through the loop kernel (or a generic vectorized op-by-op path), so
+//!   floating-point effects are reproduced operation for operation;
+//! * **loop records** — the deepest non-trip-1 loop whose body reduces
+//!   to one guarded or bare hot run, with every address and guard slot
+//!   advancing by a compile-time constant per iteration, is traced once:
+//!   the preflight walks its first iteration, proves the guard box the
+//!   same at the first and last iteration (cuts are monotone in an
+//!   affine loop variable), and stores one record — box, trip count,
+//!   first addresses — whose deltas are static.  The replay runs it as
+//!   one loop kernel, lanes against iterations: each lane keeps its
+//!   iteration order and writes only its own register tile, and the
+//!   loop reads only shared memory or unwritten globals, which nothing
+//!   inside it writes.  A box that may change walks per iteration;
 //! * **two-rounding FMA** — every kernel computes `t = a*b` (rounded),
 //!   then `acc ± t` (rounded), never `mul_add`, matching the semantics
 //!   every other engine pins;
@@ -152,6 +162,8 @@ impl NativeProgram {
             regions: self.table.regions.len(),
             entries,
             fallbacks,
+            loop_records: self.table.loop_records.load(Ordering::Relaxed),
+            instances: self.table.instances.load(Ordering::Relaxed),
             rejects,
         }
     }
@@ -161,12 +173,17 @@ impl NativeProgram {
     /// used to tune the matcher.
     pub fn explain(&self) -> String {
         let mut s = String::new();
-        let (entries, fallbacks) = self.runtime_stats();
+        let cov = self.coverage();
         let _ = writeln!(
             s,
-            "native lowering: {} region(s), {} reject(s), entries={entries} fallbacks={fallbacks}",
-            self.table.regions.len(),
+            "native lowering: {} region(s), {} reject(s), entries={} fallbacks={} \
+             loop-records={} instances={}",
+            cov.regions,
             self.table.rejects.len(),
+            cov.entries,
+            cov.fallbacks,
+            cov.loop_records,
+            cov.instances,
         );
         for (k, r) in self.table.regions.iter().enumerate() {
             let (mut runs, mut stages) = (0usize, 0usize);
@@ -178,12 +195,23 @@ impl NativeProgram {
             }
             let _ = writeln!(
                 s,
-                "  region {k}: pc {}..{}  runs={runs} stages={stages} guards={} writeback-slots={}",
+                "  region {k}: pc {}..{}  runs={runs} stages={stages} guards={} loops={} \
+                 writeback-slots={}",
                 r.start,
                 r.resume,
                 r.guards.len(),
+                r.loops.len(),
                 r.writeback.len(),
             );
+            for &(pc, op) in &r.pf {
+                let PfOp::Loop(lix) = op else { continue };
+                let lr = &r.loops[lix as usize];
+                let _ = writeln!(
+                    s,
+                    "    loop record {lix}: test pc {pc}  run {}  step {}  address deltas {:?}",
+                    lr.sid, lr.step, lr.addr_deltas,
+                );
+            }
         }
         if !self.table.rejects.is_empty() {
             let _ = writeln!(s, "  rejects:");
@@ -215,6 +243,10 @@ pub struct NativeCoverage {
     pub entries: u64,
     /// Runtime fallbacks to the interpreter.
     pub fallbacks: u64,
+    /// Loop records replayed: register-tile loops run as one kernel.
+    pub loop_records: u64,
+    /// Statement instances replayed, one per iteration of a loop record.
+    pub instances: u64,
     /// Reject-reason histogram, descending by count.
     pub rejects: Vec<(&'static str, u64)>,
 }
@@ -281,6 +313,11 @@ pub(crate) struct NativeTable {
     /// Runtime fallbacks to the interpreter (divergent entry mask, or a
     /// guard/loop-test cut the box analysis could not represent).
     pub(crate) fallbacks: AtomicU64,
+    /// Loop records replayed (runtime, relaxed).
+    pub(crate) loop_records: AtomicU64,
+    /// Statement instances replayed, each iteration of a loop record
+    /// counting one (runtime, relaxed).
+    pub(crate) instances: AtomicU64,
 }
 
 /// The active-lane set as a rectangular sub-box of the thread block:
@@ -314,10 +351,6 @@ impl LBox {
     fn is_empty(&self) -> bool {
         self.txl >= self.txh || self.tyl >= self.tyh
     }
-
-    fn is_full(&self, bx: i64, by: i64) -> bool {
-        *self == LBox::full(bx, by)
-    }
 }
 
 /// One matched loop nest: an annotation over `code[start..resume]`.
@@ -329,6 +362,8 @@ pub(crate) struct Region {
     pub(crate) resume: usize,
     stmts: Vec<NStmt>,
     guards: Vec<GuardInfo>,
+    /// Register-tile loops replayed as whole loop records.
+    loops: Vec<LoopRec>,
     /// `(pc, action)` sorted by pc — the preflight's dispatch map for
     /// every instruction that is not pure integer control flow.
     pf: Vec<(usize, PfOp)>,
@@ -391,9 +426,37 @@ struct GuardInfo {
     conds: Vec<(i64, i64)>,
 }
 
+/// A register-tile loop whose every iteration is one instance of the
+/// same hot run with lane-affine addresses that move by a constant per
+/// iteration: the preflight records it once, with its trip count, and
+/// the replay runs it as one loop kernel.
+#[derive(Debug)]
+struct LoopRec {
+    /// The hot run the body reduces to.
+    sid: u32,
+    /// The loop test's variable, bound and exit (its `PopMask`).
+    var: u32,
+    hi: u32,
+    exit: u32,
+    /// Per-iteration advance of `var` (positive).
+    step: i64,
+    /// The guard enclosing the run, if any, with the per-iteration
+    /// advance of each condition's `lhs − rhs`.
+    guard: Option<(u32, Vec<i64>)>,
+    /// Per-iteration advance of each traced address (`(r, c)` per
+    /// load/store of the run, in trace order).
+    addr_deltas: Vec<i64>,
+    /// Every slot the body writes, with its per-iteration advance at the
+    /// end of an iteration: the loop's exit state is extrapolated from it.
+    exit_deltas: Vec<(u32, i64)>,
+}
+
 /// Preflight dispatch at one pc.
 #[derive(Clone, Copy, Debug)]
 enum PfOp {
+    /// The test of loop record `lix`: record the whole loop when its
+    /// guard box is provably constant, else walk it per iteration.
+    Loop(u32),
     /// Record statement `sid` over the current box, skip to its exit.
     Run(u32),
     /// Resolve stage origin and guard bits for statement `sid`.
@@ -529,6 +592,8 @@ pub(crate) fn lower(bc: &ByteCode) -> NativeTable {
         rejects,
         entries: AtomicU64::new(0),
         fallbacks: AtomicU64::new(0),
+        loop_records: AtomicU64::new(0),
+        instances: AtomicU64::new(0),
     }
 }
 
@@ -536,6 +601,7 @@ struct RegionBuilder<'a> {
     bc: &'a ByteCode,
     stmts: Vec<NStmt>,
     guards: Vec<GuardInfo>,
+    loops: Vec<LoopRec>,
     pf: Vec<(usize, PfOp)>,
     writeback: Vec<(u32, i64, i64)>,
     has_store: bool,
@@ -547,16 +613,19 @@ impl<'a> RegionBuilder<'a> {
             bc,
             stmts: Vec::new(),
             guards: Vec::new(),
+            loops: Vec::new(),
             pf: Vec::new(),
             writeback: Vec::new(),
             has_store: false,
         }
     }
 
-    fn finish(self, start: usize, resume: usize) -> Region {
+    fn finish(mut self, start: usize, resume: usize) -> Region {
+        // Loop records are registered after their body, so sort by pc.
+        self.pf.sort_by_key(|&(pc, _)| pc);
         debug_assert!(
             self.pf.windows(2).all(|w| w[0].0 < w[1].0),
-            "preflight map must be sorted by pc"
+            "one preflight action per pc"
         );
         let mut pf_map = vec![0u32; resume - start];
         for (ix, &(pc, _)) in self.pf.iter().enumerate() {
@@ -567,6 +636,7 @@ impl<'a> RegionBuilder<'a> {
             resume,
             stmts: self.stmts,
             guards: self.guards,
+            loops: self.loops,
             pf: self.pf,
             pf_map,
             writeback: self.writeback,
@@ -699,7 +769,172 @@ impl<'a> RegionBuilder<'a> {
             return Err((i, NativeReject::UnsupportedInstr));
         }
         self.parse_items(i + 1, end - 1)?;
+        let trip_one = matches!((lo, hi_src), (AOp::Const(l), AOp::Const(h)) if h - l == 1);
+        if !trip_one {
+            if let Some(rec) = self.loop_record(i, end - 1) {
+                self.pf.push((i, PfOp::Loop(self.loops.len() as u32)));
+                self.loops.push(rec);
+            }
+        }
         Ok(end + 1)
+    }
+
+    /// Try to mark the loop whose test is at `test` (back edge at
+    /// `jump`) as a loop record.  Its body must reduce to one guarded or
+    /// bare hot run plus integer slot updates and constant trip-1 loops,
+    /// and every slot the run's addresses and guard read must advance by
+    /// a constant per iteration.  Every slot written in the body is
+    /// either *carried* (only `StepAdd`ed: advances by the sum of its
+    /// steps) or *overwritten* (`Eval` of an affine unit, or a trip-1
+    /// loop's constant bounds) before any read in the same iteration; a
+    /// forward pass then gives each read its per-iteration advance.
+    fn loop_record(&self, test: usize, jump: usize) -> Option<LoopRec> {
+        let code = &self.bc.code;
+        let Instr::LoopTest {
+            var,
+            hi,
+            exit,
+            uniform: true,
+        } = code[test]
+        else {
+            return None;
+        };
+        let mut written: BTreeMap<u32, bool> = BTreeMap::new(); // slot → overwritten
+        let mut steps: BTreeMap<u32, i64> = BTreeMap::new();
+        for ins in &code[test + 1..jump] {
+            match *ins {
+                Instr::Eval { dst, .. } => {
+                    written.insert(dst, true);
+                }
+                Instr::LoopInit { var, hi, .. } => {
+                    written.insert(var, true);
+                    written.insert(hi, true);
+                }
+                Instr::StepAdd { dst, imm } => {
+                    written.entry(dst).or_insert(false);
+                    *steps.entry(dst).or_insert(0) += imm;
+                }
+                _ => {}
+            }
+        }
+        // Per-iteration advance of each slot at the current point of the
+        // pass; an overwritten slot has none until its first write.
+        let mut d: BTreeMap<u32, i64> = written
+            .iter()
+            .filter(|&(_, &over)| !over)
+            .map(|(&s, _)| (s, steps[&s]))
+            .collect();
+        let step = *d.get(&var)?;
+        if step <= 0 || written.contains_key(&hi) {
+            return None;
+        }
+        let dslot = |d: &BTreeMap<u32, i64>, s: u32| -> Option<i64> {
+            if written.contains_key(&s) {
+                d.get(&s).copied()
+            } else {
+                Some(0)
+            }
+        };
+        let dexpr = |d: &BTreeMap<u32, i64>, e: &SlotExpr| -> Option<i64> {
+            e.terms
+                .iter()
+                .try_fold(0i64, |acc, &(s, c)| Some(acc + c * dslot(d, s as u32)?))
+        };
+        let daop = |d: &BTreeMap<u32, i64>, a: AOp| -> Option<i64> {
+            match a {
+                AOp::Const(_) => Some(0),
+                AOp::Slot(s) => dslot(d, s),
+                AOp::Unit(u) => dexpr(d, &self.bc.units[u as usize]),
+            }
+        };
+        let pf_at = |pc: usize| self.pf.iter().find(|&&(p, _)| p == pc).map(|&(_, op)| op);
+        let mut guard = None;
+        let mut run = None;
+        let mut pc = test + 1;
+        while pc < jump {
+            match code[pc] {
+                Instr::Eval { dst, unit } => {
+                    let v = dexpr(&d, &self.bc.units[unit as usize])?;
+                    d.insert(dst, v);
+                }
+                Instr::StepAdd { dst, .. } => {
+                    // A step on an overwritten slot keeps its advance,
+                    // but only once the slot was overwritten this
+                    // iteration.
+                    d.get(&dst)?;
+                }
+                Instr::LoopInit {
+                    var: v,
+                    hi: h,
+                    lo: AOp::Const(l),
+                    hi_src: AOp::Const(hh),
+                    ..
+                } if hh - l == 1 && steps.get(&v).is_some_and(|&s| s >= 1) => {
+                    d.insert(v, 0);
+                    d.insert(h, 0);
+                }
+                Instr::LoopTest { uniform: true, .. } | Instr::LoopJump { .. } | Instr::PopMask => {
+                }
+                Instr::IfSplit { pred, on_empty } => {
+                    let Some(PfOp::Guard(gix)) = pf_at(pc) else {
+                        return None;
+                    };
+                    let g = &self.guards[gix as usize];
+                    if guard.is_some() || run.is_some() || g.has_else {
+                        return None;
+                    }
+                    let mut deltas = Vec::new();
+                    for c in &self.bc.preds[pred as usize].conds {
+                        deltas.push(dexpr(&d, &c.lhs)? - dexpr(&d, &c.rhs)?);
+                    }
+                    guard = Some((gix, deltas, pc + 1, on_empty as usize));
+                }
+                _ if is_fop(&code[pc]) => {
+                    let Some(PfOp::Run(sid)) = pf_at(pc) else {
+                        return None;
+                    };
+                    let NStmt::Run(r) = &self.stmts[sid as usize] else {
+                        return None;
+                    };
+                    if run.is_some() || r.hot.is_none() {
+                        return None;
+                    }
+                    // A guarded run must be the guard's whole branch:
+                    // slot updates inside it would run only while the
+                    // box is not empty.
+                    if guard.as_ref().is_some_and(|g| (g.2, g.3) != (pc, r.exit)) {
+                        return None;
+                    }
+                    let mut addr_deltas = Vec::with_capacity(2 * r.n_addrs);
+                    for op in &r.ops {
+                        if let NOp::Load { row, col, .. } | NOp::Store { row, col, .. } = *op {
+                            addr_deltas.push(daop(&d, row)?);
+                            addr_deltas.push(daop(&d, col)?);
+                        }
+                    }
+                    run = Some((sid, addr_deltas));
+                    pc = r.exit;
+                    continue;
+                }
+                _ => return None,
+            }
+            pc += 1;
+        }
+        let (sid, addr_deltas) = run?;
+        let exit_deltas = written
+            .keys()
+            .map(|&s| Some((s, *d.get(&s)?)))
+            .collect::<Option<Vec<_>>>()?;
+        Some(LoopRec {
+            sid,
+            var,
+            hi,
+            exit,
+            step,
+            guard: guard.map(|(gix, deltas, ..)| (gix, deltas)),
+            addr_deltas,
+            exit_deltas,
+        })
     }
 
     /// Match a loop body: slot updates, nested loops, shared-memory
@@ -1183,9 +1418,16 @@ pub(crate) struct NativeScratch {
     /// Lane-0 integer frame column, interpreted scalar by the preflight.
     pub(crate) env: Vec<i64>,
     /// Resolved statement instances.  A run record is
-    /// `[sid, txl, txh, tyl, tyh, r, c, …]`; a stage record is
+    /// `[sid, txl, txh, tyl, tyh, r, c, …]`; a loop record is
+    /// `[-(lix + 1), trip, txl, txh, tyl, tyh, r, c, …]` with the first
+    /// iteration's addresses; a stage record is
     /// `[sid, r0, c0, guard-bit words…]`.
     pub(crate) trace: Vec<i64>,
+    /// A loop record's guard conditions (`lhs − rhs`) at its first
+    /// iteration.
+    pub(crate) gd0: Vec<i64>,
+    /// Packed copies of strided loop-kernel sources, one per operand.
+    pub(crate) pack: [Vec<f32>; 2],
     /// Preflight box stack: `(saved box, else box)` per open construct.
     pub(crate) bstack: Vec<(LBox, Option<LBox>)>,
 }
@@ -1217,7 +1459,9 @@ impl VBlock<'_> {
         }
         nat.entries.fetch_add(1, Ordering::Relaxed);
         TOTAL_ENTRIES.fetch_add(1, Ordering::Relaxed);
-        self.native_replay(region);
+        let (loops, instances) = self.native_replay(region);
+        nat.loop_records.fetch_add(loops, Ordering::Relaxed);
+        nat.instances.fetch_add(instances, Ordering::Relaxed);
         self.native_writeback(region);
         Some(region.resume)
     }
@@ -1246,10 +1490,45 @@ impl VBlock<'_> {
         let mut pc = region.start;
         let mut cur = LBox::full(bxd, byd);
         let mut ok = true;
+        // The loop record being traced: `(lix, trip, trace offset)` of
+        // its first iteration, walked as usual.
+        let mut rec: Option<(u32, i64, usize)> = None;
         'walk: while pc != end {
             let pfix = region.pf_map[pc - region.start];
             if pfix != 0 {
                 match region.pf[pfix as usize - 1].1 {
+                    PfOp::Loop(lix) => {
+                        let lr = &region.loops[lix as usize];
+                        if let Some((rl, trip, off)) = rec.take() {
+                            debug_assert_eq!(rl, lix, "loop records do not nest");
+                            if self.loop_box_constant(region, lr, trip, cur) {
+                                // Back at the test after the first
+                                // iteration: fold it into one record and
+                                // jump to the exit state.
+                                if trace.len() > off {
+                                    trace[off] = -(lix as i64) - 1;
+                                    trace.insert(off + 1, trip);
+                                }
+                                for &(s, d) in &lr.exit_deltas {
+                                    env[s as usize] += (trip - 1) * d;
+                                }
+                                pc = lr.exit as usize;
+                                continue;
+                            }
+                            // The box may change: this iteration ran as
+                            // an instance; try again from the next one.
+                        }
+                        let (v, h) = (env[lr.var as usize], env[lr.hi as usize]);
+                        if v >= h {
+                            pc = lr.exit as usize;
+                            continue;
+                        }
+                        let trip = (h - v + lr.step - 1) / lr.step;
+                        if trip >= 2 {
+                            rec = Some((lix, trip, trace.len()));
+                        }
+                        pc += 1;
+                    }
                     PfOp::Run(sid) => {
                         let NStmt::Run(run) = &region.stmts[sid as usize] else {
                             unreachable!("pf run points at a run statement");
@@ -1337,6 +1616,14 @@ impl VBlock<'_> {
                     }
                     PfOp::Guard(gix) => {
                         let g = &region.guards[gix as usize];
+                        if rec.is_some() {
+                            // The only guard a loop record's body holds.
+                            let sp = &bc.preds[g.pred as usize];
+                            self.nscratch.gd0.clear();
+                            self.nscratch.gd0.extend(
+                                sp.conds.iter().map(|c| c.lhs.eval(&env) - c.rhs.eval(&env)),
+                            );
+                        }
                         match self.guard_boxes(g, &env, cur) {
                             None => {
                                 ok = false;
@@ -1431,6 +1718,35 @@ impl VBlock<'_> {
         ok
     }
 
+    /// Whether loop record `lr`'s guard box is the same in all `trip`
+    /// iterations.  `inc` is the box entering the guard, constant over
+    /// the loop; `gd0` holds each condition at the first iteration, and
+    /// it advances by a constant per iteration.  A monotone comparison
+    /// of an affine value flips at most once per lane, so the same cut
+    /// at the first and the last iteration proves it for every
+    /// iteration; `Eq`/`Ne` need a condition that does not move.  Cuts
+    /// are taken per condition over `inc`, since equal ends of an
+    /// intersection prove nothing for its parts.
+    fn loop_box_constant(&self, region: &Region, lr: &LoopRec, trip: i64, inc: LBox) -> bool {
+        let Some((gix, deltas)) = &lr.guard else {
+            return true;
+        };
+        let g = &region.guards[*gix as usize];
+        let sp = &self.bc.preds[g.pred as usize];
+        sp.conds
+            .iter()
+            .zip(&g.conds)
+            .zip(deltas)
+            .zip(&self.nscratch.gd0)
+            .all(|(((c, &(da, db)), &dk), &d0)| {
+                if matches!(c.op, CmpOp::Eq | CmpOp::Ne) && dk != 0 {
+                    return false;
+                }
+                let first = apply_cut(inc, d0, da, db, c.op);
+                first.is_some() && first == apply_cut(inc, d0 + (trip - 1) * dk, da, db, c.op)
+            })
+    }
+
     /// Resolve one guard at the current scalar environment into
     /// `(then box, else box)`.  `None` — a cut or the else complement is
     /// not representable as a box — aborts the region.
@@ -1461,33 +1777,41 @@ impl VBlock<'_> {
 
     /// Phase 2: replay the recorded statement instances sequentially —
     /// exactly the interpreter's order, through vector kernels over each
-    /// instance's recorded lane box.
-    fn native_replay(&mut self, region: &Region) {
+    /// instance's recorded lane box.  A loop record replays all its
+    /// iterations in one loop kernel.  Returns `(loop records, statement
+    /// instances)` replayed.
+    fn native_replay(&mut self, region: &Region) -> (u64, u64) {
         let trace = std::mem::take(&mut self.nscratch.trace);
-        let (bxd, byd) = self.bc.block;
+        let (mut loops, mut instances) = (0u64, 0u64);
         let mut off = 0;
         while off < trace.len() {
-            match &region.stmts[trace[off] as usize] {
+            let tag = trace[off];
+            let (sid, trip, head) = if tag < 0 {
+                let lr = &region.loops[(-tag - 1) as usize];
+                loops += 1;
+                (lr.sid, trace[off + 1], off + 2)
+            } else {
+                (tag as u32, 1, off + 1)
+            };
+            match &region.stmts[sid as usize] {
                 NStmt::Run(run) => {
                     let b = LBox {
-                        txl: trace[off + 1],
-                        txh: trace[off + 2],
-                        tyl: trace[off + 3],
-                        tyh: trace[off + 4],
+                        txl: trace[head],
+                        txh: trace[head + 1],
+                        tyl: trace[head + 2],
+                        tyh: trace[head + 3],
                     };
-                    let addrs = &trace[off + 5..off + 5 + 2 * run.n_addrs];
-                    if b.is_full(bxd, byd) {
-                        if let Some(hot) = run.hot {
-                            self.native_hot(hot, addrs);
-                        } else {
-                            self.native_generic(run, addrs);
+                    let addrs = &trace[head + 4..head + 4 + 2 * run.n_addrs];
+                    match run.hot {
+                        Some(hot) if tag < 0 => {
+                            let lr = &region.loops[(-tag - 1) as usize];
+                            self.native_loop(hot, addrs, &lr.addr_deltas, trip, b);
                         }
-                    } else if let Some(hot) = run.hot {
-                        self.native_hot_boxed(hot, addrs, b);
-                    } else {
-                        self.native_generic_boxed(run, addrs, b);
+                        Some(hot) => self.native_loop(hot, addrs, &[0; 6], 1, b),
+                        None => self.native_generic(run, addrs, b),
                     }
-                    off += 5 + 2 * run.n_addrs;
+                    instances += trip as u64;
+                    off = head + 4 + 2 * run.n_addrs;
                 }
                 NStmt::Stage(stg) => {
                     let (r0, c0) = (trace[off + 1], trace[off + 2]);
@@ -1498,158 +1822,56 @@ impl VBlock<'_> {
             }
         }
         self.nscratch.trace = trace;
+        (loops, instances)
     }
 
-    /// The fused microkernel: one pass `acc[l] ±= a(l)·b(l)` with both
-    /// gathers and the accumulate in a single loop, dispatched over the
-    /// stride classes of the two sources.
-    fn native_hot(&mut self, hot: Hot, addrs: &[i64]) {
-        let n = self.n;
-        let (bx, _) = self.bc.block;
+    /// The loop kernel: `trip` iterations of `acc ±= a·b` over the lane
+    /// box, every address advancing by its per-iteration delta (`addrs`
+    /// and `deltas` hold `(r, c)` for `a`, `b` and the accumulator).  A
+    /// plain instance is the one-iteration case.
+    fn native_loop(&mut self, hot: Hot, addrs: &[i64], deltas: &[i64], trip: i64, bv: LBox) {
+        let n = self.n as i64;
+        let (bxd, _) = self.bc.block;
         let d = &self.bc.regs[hot.x as usize];
-        let base = (self.bc.reg_off[hot.x as usize] + (addrs[4] + addrs[5] * d.rows) as usize) * n;
+        let (r0, c0, dr, dc) = (addrs[4], addrs[5], deltas[4], deltas[5]);
         debug_assert!(
-            addrs[4] >= 0 && addrs[4] < d.rows && addrs[5] >= 0 && addrs[5] < d.cols,
+            [(r0, c0), (r0 + (trip - 1) * dr, c0 + (trip - 1) * dc)]
+                .iter()
+                .all(|&(r, c)| r >= 0 && r < d.rows && c >= 0 && c < d.cols),
             "register tile index out of bounds"
         );
+        // The accumulator walks the register arena, which `loop_fma`
+        // takes mutably, so its `data` stays empty.
+        let acc = Walk {
+            data: &[],
+            base: (self.bc.reg_off[hot.x as usize] as i64 + r0 + c0 * d.rows) * n,
+            dk: (dr + dc * d.rows) * n,
+            dtx: 1,
+            dty: bxd,
+        };
         // Field-disjoint reborrows: sources read smem / the global
         // snapshot, the accumulator mutates regs.
         let smem: &[f32] = self.smem;
         let mats = self.base;
-        let regs: &mut [f32] = self.regs;
-        let a = resolve_span(hot.a, addrs[0], addrs[1], smem, mats, n, bx);
-        let b = resolve_span(hot.b, addrs[2], addrs[3], smem, mats, n, bx);
-        let acc = &mut regs[base..base + n];
+        let [pa, pb] = &mut self.nscratch.pack;
+        let a =
+            walk(hot.a, addrs[0], addrs[1], deltas[0], deltas[1], smem, mats).packed(pa, trip, bv);
+        let b =
+            walk(hot.b, addrs[2], addrs[3], deltas[2], deltas[3], smem, mats).packed(pb, trip, bv);
         if hot.sub {
-            fused::<true>(acc, a, b, bx);
+            loop_fma::<true>(self.regs, acc, a, b, trip, bv);
         } else {
-            fused::<false>(acc, a, b, bx);
-        }
-    }
-
-    /// The fused microkernel over a partial lane box: raw strided
-    /// gathers restricted to the in-box lanes.  Addresses are lane-0
-    /// extrapolations (lane `(0, 0)` may sit outside the box, so flat
-    /// indices stay signed until each in-box element is touched).
-    fn native_hot_boxed(&mut self, hot: Hot, addrs: &[i64], bxv: LBox) {
-        let n = self.n;
-        let (bxd, _) = self.bc.block;
-        let d = &self.bc.regs[hot.x as usize];
-        let base = (self.bc.reg_off[hot.x as usize] + (addrs[4] + addrs[5] * d.rows) as usize) * n;
-        debug_assert!(
-            addrs[4] >= 0 && addrs[4] < d.rows && addrs[5] >= 0 && addrs[5] < d.cols,
-            "register tile index out of bounds"
-        );
-        let smem: &[f32] = self.smem;
-        let mats = self.base;
-        let regs: &mut [f32] = self.regs;
-        let a = raw_span(hot.a, addrs[0], addrs[1], smem, mats);
-        let b = raw_span(hot.b, addrs[2], addrs[3], smem, mats);
-        let acc = &mut regs[base..base + n];
-        for ty in bxv.tyl..bxv.tyh {
-            let row = (ty * bxd) as usize;
-            let ab = a.base + a.dty * ty;
-            let bb = b.base + b.dty * ty;
-            for tx in bxv.txl..bxv.txh {
-                let t = a.data[(ab + a.dtx * tx) as usize] * b.data[(bb + b.dtx * tx) as usize];
-                let x = &mut acc[row + tx as usize];
-                if hot.sub {
-                    *x -= t;
-                } else {
-                    *x += t;
-                }
-            }
+            loop_fma::<false>(self.regs, acc, a, b, trip, bv);
         }
     }
 
     /// Generic vectorized statement: op-by-op over the virtual f32
     /// registers, with addresses taken from the trace instead of
-    /// per-lane evaluation.
-    fn native_generic(&mut self, run: &NRun, addrs: &[i64]) {
-        let n = self.n;
-        let (bx, _) = self.bc.block;
-        let mut ai = 0usize;
-        for op in &run.ops {
-            match *op {
-                NOp::Const { dst, v } => self.fregs[dst as usize * n..][..n].fill(v),
-                NOp::Load { dst, src, .. } => {
-                    let (r, c) = (addrs[ai], addrs[ai + 1]);
-                    ai += 2;
-                    let smem: &[f32] = self.smem;
-                    let mats = self.base;
-                    let span = match src {
-                        NSrc::Reg { x } => {
-                            let d = &self.bc.regs[x as usize];
-                            debug_assert!(
-                                r >= 0 && r < d.rows && c >= 0 && c < d.cols,
-                                "register tile index out of bounds"
-                            );
-                            let base =
-                                (self.bc.reg_off[x as usize] + (r + c * d.rows) as usize) * n;
-                            Span::Slice(&self.regs[base..base + n])
-                        }
-                        _ => resolve_span(src, r, c, smem, mats, n, bx),
-                    };
-                    let dst = &mut self.fregs[dst as usize * n..][..n];
-                    match span {
-                        Span::Uni(v) => dst.fill(v),
-                        Span::Slice(s) => dst.copy_from_slice(s),
-                        Span::Step(data, b0, s) => {
-                            for (l, x) in dst.iter_mut().enumerate() {
-                                *x = data[(b0 + s * l as i64) as usize];
-                            }
-                        }
-                        Span::Grid(data, b0, dtx, dty) => {
-                            let mut tx = 0i64;
-                            let mut ty = 0i64;
-                            for x in dst.iter_mut() {
-                                *x = data[(b0 + dtx * tx + dty * ty) as usize];
-                                tx += 1;
-                                if tx == bx {
-                                    tx = 0;
-                                    ty += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                NOp::Bin { op, dst, a, b } => self.vec_bin(op, dst, a, b),
-                NOp::Fma {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    c,
-                    mul_first,
-                } => self.vec_fma(op, dst, a, b, c, mul_first),
-                NOp::Store { src, x, op, .. } => {
-                    let (r, c) = (addrs[ai], addrs[ai + 1]);
-                    ai += 2;
-                    let d = &self.bc.regs[x as usize];
-                    debug_assert!(
-                        r >= 0 && r < d.rows && c >= 0 && c < d.cols,
-                        "register tile index out of bounds"
-                    );
-                    let base = (self.bc.reg_off[x as usize] + (r + c * d.rows) as usize) * n;
-                    let s = src as usize * n;
-                    let lanes = self.regs[base..base + n]
-                        .iter_mut()
-                        .zip(&self.fregs[s..s + n]);
-                    match op {
-                        AssignOp::Assign => lanes.for_each(|(d, v)| *d = *v),
-                        AssignOp::AddAssign => lanes.for_each(|(d, v)| *d += v),
-                        AssignOp::SubAssign => lanes.for_each(|(d, v)| *d -= v),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Generic statement over a partial lane box.  Loads and stores are
+    /// per-lane evaluation.  Loads and stores are
     /// box-restricted (out-of-box addresses may be invalid — that is
     /// exactly what the guard proves); pure arithmetic runs full-width,
     /// since out-of-box virtual registers are never stored.
-    fn native_generic_boxed(&mut self, run: &NRun, addrs: &[i64], bv: LBox) {
+    fn native_generic(&mut self, run: &NRun, addrs: &[i64], bv: LBox) {
         let n = self.n;
         let (bxd, _) = self.bc.block;
         let mut ai = 0usize;
@@ -1679,7 +1901,7 @@ impl VBlock<'_> {
                         _ => {
                             let smem: &[f32] = self.smem;
                             let mats = self.base;
-                            let sp = raw_span(src, r, c, smem, mats);
+                            let sp = walk(src, r, c, 0, 0, smem, mats);
                             let dsl = &mut self.fregs[doff..doff + n];
                             for ty in bv.tyl..bv.tyh {
                                 let sb = sp.base + sp.dty * ty;
@@ -1861,44 +2083,89 @@ impl VBlock<'_> {
     }
 }
 
-/// A load source resolved to its per-lane access pattern for one
-/// statement instance.
-enum Span<'x> {
-    /// Lane-invariant: one value broadcast.
-    Uni(f32),
-    /// Contiguous: `data[l]`.
-    Slice(&'x [f32]),
-    /// Constant stride: `data[base + s·l]`.
-    Step(&'x [f32], i64, i64),
-    /// Separate tx/ty strides: `data[base + dtx·tx + dty·ty]`.
-    Grid(&'x [f32], i64, i64, i64),
-}
-
-/// A source as raw strided storage for box-restricted kernels: flat
-/// element at `(tx, ty)` is `data[base + dtx·tx + dty·ty]`.  No bounds
-/// reasoning — `base` extrapolates lane `(0, 0)`, which may sit outside
-/// the box (and outside the array); only in-box elements are indexed.
-struct RawSpan<'x> {
+/// Strided storage as a loop kernel walks it: the element for iteration
+/// `k` at lane `(tx, ty)` is `data[base + k·dk + tx·dtx + ty·dty]`.  No
+/// bounds reasoning — `base` extrapolates lane `(0, 0)`, which may sit
+/// outside the box (and outside the array); only in-box elements are
+/// indexed.
+#[derive(Clone, Copy)]
+struct Walk<'x> {
     data: &'x [f32],
     base: i64,
+    dk: i64,
     dtx: i64,
     dty: i64,
 }
 
-fn raw_span<'x>(src: NSrc, r: i64, c: i64, smem: &'x [f32], mats: &[&'x Matrix]) -> RawSpan<'x> {
+impl Walk<'_> {
+    /// `N` consecutive lanes from flat index `at`, by the tx stride class
+    /// (broadcast, contiguous, strided gather).
+    #[inline(always)]
+    fn lanes<const N: usize>(&self, at: i64) -> [f32; N] {
+        match self.dtx {
+            0 => [self.data[at as usize]; N],
+            1 => self.data[at as usize..at as usize + N]
+                .try_into()
+                .expect("N lanes"),
+            s => std::array::from_fn(|l| self.data[(at + s * l as i64) as usize]),
+        }
+    }
+}
+
+impl<'x> Walk<'x> {
+    /// A strided gather that every lane row of the box repeats (no ty
+    /// stride) is packed once into `buf`, `[k][tx]`, so each row reads it
+    /// contiguously instead of gathering again; the values are copies, so
+    /// results do not change.
+    fn packed<'p>(self, buf: &'p mut Vec<f32>, trip: i64, bv: LBox) -> Walk<'p>
+    where
+        'x: 'p,
+    {
+        if matches!(self.dtx, 0 | 1) || self.dty != 0 || bv.tyh - bv.tyl < 2 {
+            return self;
+        }
+        let w = bv.txh - bv.txl;
+        buf.clear();
+        for k in 0..trip {
+            let at = self.base + k * self.dk;
+            buf.extend((bv.txl..bv.txh).map(|tx| self.data[(at + tx * self.dtx) as usize]));
+        }
+        Walk {
+            data: buf,
+            base: -bv.txl,
+            dk: w,
+            dtx: 1,
+            dty: 0,
+        }
+    }
+}
+
+/// A source at the trace's resolved `(r, c)`, advancing `(dr, dc)` per
+/// iteration.
+fn walk<'x>(
+    src: NSrc,
+    r: i64,
+    c: i64,
+    dr: i64,
+    dc: i64,
+    smem: &'x [f32],
+    mats: &[&'x Matrix],
+) -> Walk<'x> {
     match src {
         NSrc::Global { g, ra, rb, ca, cb } => {
             let m = mats[g as usize];
-            RawSpan {
+            Walk {
                 data: &m.data,
                 base: r + c * m.ld,
+                dk: dr + dc * m.ld,
                 dtx: ra + ca * m.ld,
                 dty: rb + cb * m.ld,
             }
         }
-        NSrc::Shared { off, ld, dtx, dty } => RawSpan {
+        NSrc::Shared { off, ld, dtx, dty } => Walk {
             data: smem,
             base: off + r + c * ld,
+            dk: dr + dc * ld,
             dtx,
             dty,
         },
@@ -1906,154 +2173,78 @@ fn raw_span<'x>(src: NSrc, r: i64, c: i64, smem: &'x [f32], mats: &[&'x Matrix])
     }
 }
 
-/// Classify a source at a resolved `(r, c)` into its stride class.
-fn resolve_span<'x>(
-    src: NSrc,
-    r: i64,
-    c: i64,
-    smem: &'x [f32],
-    mats: &[&'x Matrix],
-    n: usize,
-    bx: i64,
-) -> Span<'x> {
-    let (data, base, dtx, dty): (&[f32], i64, i64, i64) = match src {
-        NSrc::Global { g, ra, rb, ca, cb } => {
-            let m = mats[g as usize];
-            debug_assert!(r >= 0 && c >= 0 && c < m.cols, "global index out of bounds");
-            (&m.data, r + c * m.ld, ra + ca * m.ld, rb + cb * m.ld)
+/// The loop kernel behind every hot run: `trip` iterations of
+/// `acc ±= a·b` over the lane box, lane rows cut into chunks of 16, 8, 4
+/// or 1 lanes.  Each lane runs its iterations in order with two roundings
+/// (`t = a·b`, then `acc ± t`, never `mul_add`), so lanes may be taken in
+/// any order against iterations: each writes only its own register tile
+/// and reads shared memory or unwritten globals, which nothing in the
+/// loop writes.  An accumulator that does not move stays in registers
+/// across the iterations.
+fn loop_fma<const SUB: bool>(regs: &mut [f32], acc: Walk, a: Walk, b: Walk, trip: i64, bv: LBox) {
+    for ty in bv.tyl..bv.tyh {
+        let mut tx = bv.txl;
+        while tx < bv.txh {
+            let at = |w: &Walk| w.base + w.dtx * tx + w.dty * ty;
+            let (o, oa, ob) = (at(&acc), at(&a), at(&b));
+            let left = bv.txh - tx;
+            tx += if left >= 16 {
+                chunk::<SUB, 16>(regs, o, acc.dk, &a, oa, &b, ob, trip)
+            } else if left >= 8 {
+                chunk::<SUB, 8>(regs, o, acc.dk, &a, oa, &b, ob, trip)
+            } else if left >= 4 {
+                chunk::<SUB, 4>(regs, o, acc.dk, &a, oa, &b, ob, trip)
+            } else {
+                chunk::<SUB, 1>(regs, o, acc.dk, &a, oa, &b, ob, trip)
+            };
         }
-        NSrc::Shared { off, ld, dtx, dty } => (smem, off + r + c * ld, dtx, dty),
-        NSrc::Reg { .. } => unreachable!("register sources resolve to lane slices"),
-    };
-    if dtx == 0 && dty == 0 {
-        return Span::Uni(data[base as usize]);
-    }
-    // A single lane-index stride exists when one block dimension is
-    // degenerate or the ty stride is exactly bx rows of the tx stride.
-    let step = if n as i64 == bx {
-        Some(dtx)
-    } else if bx == 1 {
-        Some(dty)
-    } else if dty == dtx * bx {
-        Some(dtx)
-    } else {
-        None
-    };
-    match step {
-        Some(1) => Span::Slice(&data[base as usize..base as usize + n]),
-        Some(s) => Span::Step(data, base, s),
-        None => Span::Grid(data, base, dtx, dty),
     }
 }
 
-/// The microkernel library: one monomorphized loop per (sign, stride
-/// class, stride class) combination the generated kernels exhibit.  Each
-/// body keeps the two-rounding contract (`t = a·b`, then `acc ± t`) and
-/// iterates plain slices so the autovectorizer can lift it to SIMD.
-fn fused<const SUB: bool>(acc: &mut [f32], a: Span, b: Span, bx: i64) {
-    #[inline(always)]
-    fn k1<const SUB: bool>(acc: &mut [f32], a: impl Fn(usize) -> f32, b: impl Fn(usize) -> f32) {
-        for (l, x) in acc.iter_mut().enumerate() {
-            let t = a(l) * b(l);
+/// `N` lanes of [`loop_fma`] starting at accumulator index `o` and source
+/// indices `oa`/`ob`; returns `N`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn chunk<const SUB: bool, const N: usize>(
+    regs: &mut [f32],
+    mut o: i64,
+    dacc: i64,
+    a: &Walk,
+    mut oa: i64,
+    b: &Walk,
+    mut ob: i64,
+    trip: i64,
+) -> i64 {
+    let fma = |r: &mut [f32; N], av: [f32; N], bv: [f32; N]| {
+        for l in 0..N {
+            let t = av[l] * bv[l];
             if SUB {
-                *x -= t;
+                r[l] -= t;
             } else {
-                *x += t;
+                r[l] += t;
             }
+        }
+    };
+    if dacc == 0 {
+        let mut r: [f32; N] = regs[o as usize..o as usize + N]
+            .try_into()
+            .expect("N lanes");
+        for _ in 0..trip {
+            fma(&mut r, a.lanes::<N>(oa), b.lanes::<N>(ob));
+            oa += a.dk;
+            ob += b.dk;
+        }
+        regs[o as usize..o as usize + N].copy_from_slice(&r);
+    } else {
+        for _ in 0..trip {
+            let r: &mut [f32; N] = (&mut regs[o as usize..o as usize + N])
+                .try_into()
+                .expect("N lanes");
+            fma(r, a.lanes::<N>(oa), b.lanes::<N>(ob));
+            oa += a.dk;
+            ob += b.dk;
+            o += dacc;
         }
     }
-    #[inline(always)]
-    fn k2<const SUB: bool>(
-        acc: &mut [f32],
-        bx: i64,
-        a: impl Fn(i64, i64) -> f32,
-        b: impl Fn(i64, i64) -> f32,
-    ) {
-        let mut tx = 0i64;
-        let mut ty = 0i64;
-        for x in acc.iter_mut() {
-            let t = a(tx, ty) * b(tx, ty);
-            if SUB {
-                *x -= t;
-            } else {
-                *x += t;
-            }
-            tx += 1;
-            if tx == bx {
-                tx = 0;
-                ty += 1;
-            }
-        }
-    }
-    use Span::{Grid, Slice, Step, Uni};
-    match (a, b) {
-        (Uni(av), Uni(bv)) => {
-            let t = av * bv;
-            for x in acc.iter_mut() {
-                if SUB {
-                    *x -= t;
-                } else {
-                    *x += t;
-                }
-            }
-        }
-        (Slice(s), Uni(v)) => k1::<SUB>(acc, |l| s[l], |_| v),
-        (Uni(v), Slice(s)) => k1::<SUB>(acc, |_| v, |l| s[l]),
-        (Slice(sa), Slice(sb)) => k1::<SUB>(acc, |l| sa[l], |l| sb[l]),
-        (Step(d, b0, st), Uni(v)) => k1::<SUB>(acc, |l| d[(b0 + st * l as i64) as usize], |_| v),
-        (Uni(v), Step(d, b0, st)) => k1::<SUB>(acc, |_| v, |l| d[(b0 + st * l as i64) as usize]),
-        (Step(da, ba, sa), Step(db, bb, sb)) => k1::<SUB>(
-            acc,
-            |l| da[(ba + sa * l as i64) as usize],
-            |l| db[(bb + sb * l as i64) as usize],
-        ),
-        (Step(d, b0, st), Slice(s)) => {
-            k1::<SUB>(acc, |l| d[(b0 + st * l as i64) as usize], |l| s[l])
-        }
-        (Slice(s), Step(d, b0, st)) => {
-            k1::<SUB>(acc, |l| s[l], |l| d[(b0 + st * l as i64) as usize])
-        }
-        (Grid(d, b0, dx, dy), Uni(v)) => k2::<SUB>(
-            acc,
-            bx,
-            |tx, ty| d[(b0 + dx * tx + dy * ty) as usize],
-            |_, _| v,
-        ),
-        (Uni(v), Grid(d, b0, dx, dy)) => k2::<SUB>(
-            acc,
-            bx,
-            |_, _| v,
-            |tx, ty| d[(b0 + dx * tx + dy * ty) as usize],
-        ),
-        (Grid(da, ba, dxa, dya), Grid(db, bb, dxb, dyb)) => k2::<SUB>(
-            acc,
-            bx,
-            |tx, ty| da[(ba + dxa * tx + dya * ty) as usize],
-            |tx, ty| db[(bb + dxb * tx + dyb * ty) as usize],
-        ),
-        (Grid(d, b0, dx, dy), Slice(s)) => k2::<SUB>(
-            acc,
-            bx,
-            |tx, ty| d[(b0 + dx * tx + dy * ty) as usize],
-            |tx, ty| s[(tx + ty * bx) as usize],
-        ),
-        (Slice(s), Grid(d, b0, dx, dy)) => k2::<SUB>(
-            acc,
-            bx,
-            |tx, ty| s[(tx + ty * bx) as usize],
-            |tx, ty| d[(b0 + dx * tx + dy * ty) as usize],
-        ),
-        (Grid(d, b0, dx, dy), Step(ds, bs, st)) => k2::<SUB>(
-            acc,
-            bx,
-            |tx, ty| d[(b0 + dx * tx + dy * ty) as usize],
-            |tx, ty| ds[(bs + st * (tx + ty * bx)) as usize],
-        ),
-        (Step(ds, bs, st), Grid(d, b0, dx, dy)) => k2::<SUB>(
-            acc,
-            bx,
-            |tx, ty| ds[(bs + st * (tx + ty * bx)) as usize],
-            |tx, ty| d[(b0 + dx * tx + dy * ty) as usize],
-        ),
-    }
+    N as i64
 }

@@ -136,12 +136,17 @@ impl ByteCode {
         // Keys within one block's log are distinct, so drain order within
         // a log cannot change the merged result; across blocks the
         // sequential (by, bx) order reproduces the oracle's block loop.
+        // Each global's buffer is resolved once, not per element.
+        let mut outs: Vec<Option<&mut Matrix>> = self.globals.iter().map(|_| None).collect();
+        for (name, m) in bufs.iter_mut() {
+            if let Some(g) = self.globals.iter().position(|g| g.name == *name) {
+                outs[g] = Some(m);
+            }
+        }
         for res in logs {
             for (key, v) in res? {
                 let (g, r, c) = unpack_key(key);
-                bufs.get_mut(&self.globals[g].name)
-                    .expect("checked above")
-                    .set(r, c, v);
+                outs[g].as_deref_mut().expect("checked above").set(r, c, v);
             }
         }
         Ok(())

@@ -15,9 +15,15 @@
 //! * a runtime guard the box analysis cannot resolve must fall back
 //!   without mutating anything;
 //! * the reject tables of the four flagship routines are snapshotted so
-//!   matcher regressions are loud.
+//!   matcher regressions are loud;
+//! * the serving library's two register-tile shapes replay each inner
+//!   loop as one loop record, and a guard box that changes inside the
+//!   loop (an edge tile) walks it per iteration instead.
 
 use oa_core::blas3::baselines::cublas_like;
+use oa_core::blas3::routines::source;
+use oa_core::blas3::verify::prepare_buffers;
+use oa_core::epod::{apply_strict, parse_script};
 use oa_core::gpusim::{exec_program, DeviceSpec, NativeProgram, NativeReject};
 use oa_core::loopir::builder::{gemm_nn_like, syrk_ln_like, trmm_ll_like};
 use oa_core::loopir::interp::{alloc_buffers, Bindings, Buffers};
@@ -287,4 +293,121 @@ fn flagship_reject_tables_do_not_regress() {
             np.explain()
         );
     }
+}
+
+/// The serving library's scripts (the n = 128 tuned winners), applied at
+/// one of its two register-tile shapes `[ty, tx, thr_i, thr_j, kb]`.
+fn serving_kernel(routine: &str, shape: [i64; 5]) -> Program {
+    let script = match routine {
+        "GEMM-NN" | "GEMM-TN" => {
+            "(Lii, Ljj) = thread_grouping((Li, Lj));
+             (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
+             loop_unroll(Ljjj, Lkkk);
+             SM_alloc(B, Transpose);
+             reg_alloc(C);"
+        }
+        "SYMM-LL" | "SYMM-RU" => {
+            "GM_map(A, Symmetry);
+             format_iteration(A, Symmetry);
+             (Lii, Ljj) = thread_grouping((Li, Lj));
+             (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
+             loop_unroll(Ljjj, Lkkk);
+             SM_alloc(B, Transpose);
+             reg_alloc(C);"
+        }
+        "TRMM-LL-N" => {
+            "(Lii, Ljj) = thread_grouping((Li, Lj));
+             (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
+             padding_triangular(A);
+             loop_unroll(Ljjj, Lkkk);
+             SM_alloc(B, Transpose);
+             reg_alloc(C);"
+        }
+        other => panic!("no serving script for {other}"),
+    };
+    let [ty, tx, thr_i, thr_j, kb] = shape;
+    let params = TileParams {
+        ty,
+        tx,
+        thr_i,
+        thr_j,
+        kb,
+        unroll: 0,
+    };
+    let r = RoutineId::parse(routine).unwrap();
+    let script = parse_script(script).expect("script parses");
+    apply_strict(&source(r), &script, params).expect("script applies")
+}
+
+/// 32-lane blocks whose 16-wide register tile index moves every
+/// iteration, and 256-lane blocks with one fixed accumulator per lane.
+const SHAPE_32X16: [i64; 5] = [32, 16, 32, 1, 16];
+const SHAPE_16X16: [i64; 5] = [16, 16, 16, 16, 16];
+
+/// Native vs oracle on the serving inputs (`A`'s blank triangle zeroed,
+/// as the registry prepares them).
+fn assert_serving_bit_identical(p: &Program, n: i64) -> NativeProgram {
+    let b = Bindings::square(n);
+    let mut oracle = prepare_buffers(p, n, 0x5EED, true);
+    let mut fast = oracle.clone();
+    exec_program(p, &b, &mut oracle).expect("oracle exec");
+    let np = NativeProgram::compile(p, &b).expect("native compile");
+    np.execute(&mut fast).expect("native exec");
+    assert_bits(&oracle, &fast);
+    np
+}
+
+#[test]
+fn serving_tile_shapes_replay_whole_loops() {
+    // Both serving tile shapes on every routine whose register-tile loop
+    // reduces to one hot run: every inner loop must run as one loop
+    // record — exact-size tiles keep the guard box constant, so each
+    // record covers all 16 iterations — and stay bit-identical.
+    let cases: Vec<(&str, [i64; 5])> = ["GEMM-NN", "GEMM-TN", "SYMM-LL", "SYMM-RU", "TRMM-LL-N"]
+        .into_iter()
+        .flat_map(|r| [(r, SHAPE_32X16), (r, SHAPE_16X16)])
+        .collect();
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = cases
+            .iter()
+            .map(|&(r, shape)| {
+                s.spawn(move || {
+                    let np = assert_serving_bit_identical(&serving_kernel(r, shape), 128);
+                    let cov = np.coverage();
+                    (r, shape, cov)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| {
+                let (r, shape, cov) = h.join().expect("case panicked");
+                let whole = cov.loop_records > 0
+                    && cov.fallbacks == 0
+                    && cov.instances == 16 * cov.loop_records;
+                (!whole).then(|| format!("{r} {shape:?}: {cov:?}"))
+            })
+            .collect()
+    });
+    assert!(failures.is_empty(), "loop records missing: {failures:#?}");
+}
+
+#[test]
+fn edge_tile_box_change_walks_per_iteration() {
+    // n = 120 cuts the last 16-wide column tile at j = 120, half way
+    // through the register-tile loop: the guard box is full at the first
+    // iteration and empty at the last, so those loops fall back to
+    // per-iteration instances, while interior tiles still replay whole
+    // loops.  Both must stay bit-identical.
+    let np = assert_serving_bit_identical(&serving_kernel("GEMM-NN", SHAPE_32X16), 120);
+    let cov = np.coverage();
+    assert!(
+        cov.loop_records > 0,
+        "interior tiles lost their loop records: {cov:?}"
+    );
+    assert!(
+        cov.instances > 16 * cov.loop_records,
+        "edge tiles should replay single instances: {cov:?}"
+    );
+    assert_eq!(cov.fallbacks, 0, "{cov:?}");
 }
