@@ -25,7 +25,7 @@
 //! DAG-shape-keyed plan cache, and the whole DAG executes as **one
 //! unit** (a DAG request is never split across scheduler batches).
 
-use crate::dispatch::{solver_tile, Registry};
+use crate::dispatch::{check_size, reject, solver_tile, Registry, Rejection};
 use oa_autotune::fuse::{DagNode, FuseEnv, Operand, ResolveMode};
 use oa_autotune::json::Json;
 use oa_autotune::TuneEvent;
@@ -54,24 +54,6 @@ pub struct DagRequest {
     pub fuse: bool,
 }
 
-/// A structured DAG rejection: stable class plus human-readable reason.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DagError {
-    /// Stable failure class (`admission/dag`, `admission/dag-ref`,
-    /// `admission/dag-cycle`, `admission/size`,
-    /// `admission/size-constraint`).
-    pub class: &'static str,
-    /// Human-readable cause.
-    pub reason: String,
-}
-
-fn dag_err(class: &'static str, reason: impl Into<String>) -> DagError {
-    DagError {
-        class,
-        reason: reason.into(),
-    }
-}
-
 impl DagRequest {
     /// The tenant this request bills to.
     pub fn tenant_name(&self) -> &str {
@@ -86,17 +68,17 @@ impl DagRequest {
     /// Parse a JSONL DAG request (the document must carry a `"dag"`
     /// array).  Violations come back as structured `admission/*`
     /// rejections, never bare strings.
-    pub fn from_json(doc: &Json) -> Result<DagRequest, DagError> {
+    pub fn from_json(doc: &Json) -> Result<DagRequest, Rejection> {
         let arr = match doc.get("dag") {
             Some(Json::Arr(a)) => a,
-            Some(_) => return Err(dag_err("admission/dag", "field `dag` is not an array")),
-            None => return Err(dag_err("admission/dag", "missing `dag` field")),
+            Some(_) => return Err(reject("admission/dag", "field `dag` is not an array")),
+            None => return Err(reject("admission/dag", "missing `dag` field")),
         };
         if arr.is_empty() {
-            return Err(dag_err("admission/dag", "`dag` has no nodes"));
+            return Err(reject("admission/dag", "`dag` has no nodes"));
         }
         if arr.len() > MAX_DAG_NODES {
-            return Err(dag_err(
+            return Err(reject(
                 "admission/dag",
                 format!("`dag` has {} nodes (max {MAX_DAG_NODES})", arr.len()),
             ));
@@ -108,18 +90,15 @@ impl DagRequest {
             let id = node
                 .get("id")
                 .and_then(Json::as_str)
-                .ok_or_else(|| dag_err("admission/dag", format!("node {i}: missing `id`")))?;
+                .ok_or_else(|| reject("admission/dag", format!("node {i}: missing `id`")))?;
             if id.is_empty() || id.starts_with('@') {
-                return Err(dag_err(
+                return Err(reject(
                     "admission/dag",
                     format!("node {i}: invalid id `{id}`"),
                 ));
             }
             if ids.iter().any(|x| x == id) {
-                return Err(dag_err(
-                    "admission/dag",
-                    format!("duplicate node id `{id}`"),
-                ));
+                return Err(reject("admission/dag", format!("duplicate node id `{id}`")));
             }
             ids.push(id.to_string());
         }
@@ -129,7 +108,7 @@ impl DagRequest {
         for (i, node) in arr.iter().enumerate() {
             let id = &ids[i];
             let rname = node.get("routine").and_then(Json::as_str).ok_or_else(|| {
-                dag_err("admission/dag", format!("node `{id}`: missing `routine`"))
+                reject("admission/dag", format!("node `{id}`: missing `routine`"))
             })?;
             // `SYRK` is sugar for a symmetric rank update: GEMM-NT with
             // both operands the same buffer.
@@ -139,7 +118,7 @@ impl DagRequest {
                 match RoutineId::parse(rname) {
                     Some(r) => (r, false),
                     None => {
-                        return Err(dag_err(
+                        return Err(reject(
                             "admission/dag",
                             format!("node `{id}`: unknown routine `{rname}`"),
                         ))
@@ -147,11 +126,11 @@ impl DagRequest {
                 }
             };
 
-            let operand = |slot: &str, default: String| -> Result<Operand, DagError> {
+            let operand = |slot: &str, default: String| -> Result<Operand, Rejection> {
                 let raw = match node.get(slot) {
                     None => return Ok(Operand::Buf(default)),
                     Some(v) => v.as_str().ok_or_else(|| {
-                        dag_err(
+                        reject(
                             "admission/dag",
                             format!("node `{id}`: field `{slot}` is not a string"),
                         )
@@ -160,7 +139,7 @@ impl DagRequest {
                 match raw.strip_prefix('@') {
                     None => {
                         if raw.is_empty() {
-                            return Err(dag_err(
+                            return Err(reject(
                                 "admission/dag",
                                 format!("node `{id}`: empty buffer name in `{slot}`"),
                             ));
@@ -168,15 +147,15 @@ impl DagRequest {
                         Ok(Operand::Buf(raw.to_string()))
                     }
                     Some(target) => match ids.iter().position(|x| x == target) {
-                        None => Err(dag_err(
+                        None => Err(reject(
                             "admission/dag-ref",
                             format!("node `{id}`: `{slot}` references unknown node `@{target}`"),
                         )),
-                        Some(t) if t == i => Err(dag_err(
+                        Some(t) if t == i => Err(reject(
                             "admission/dag-cycle",
                             format!("node `{id}`: `{slot}` references itself"),
                         )),
-                        Some(t) if t > i => Err(dag_err(
+                        Some(t) if t > i => Err(reject(
                             "admission/dag-cycle",
                             format!(
                                 "node `{id}`: `{slot}` references later node `@{target}` \
@@ -191,7 +170,7 @@ impl DagRequest {
             let a = operand("a", format!("A{i}"))?;
             let b = if syrk {
                 if node.get("b").is_some() {
-                    return Err(dag_err(
+                    return Err(reject(
                         "admission/dag",
                         format!("node `{id}`: SYRK takes one operand `a` (`b` is implied)"),
                     ));
@@ -208,7 +187,7 @@ impl DagRequest {
                 Some(operand("c", format!("C{i}"))?)
             } else {
                 if node.get("c").is_some() {
-                    return Err(dag_err(
+                    return Err(reject(
                         "admission/dag",
                         format!("node `{id}`: `{}` takes no `c` operand", routine.name()),
                     ));
@@ -228,16 +207,16 @@ impl DagRequest {
             None => 64,
             Some(v) => v
                 .as_i64()
-                .ok_or_else(|| dag_err("admission/dag", "field `n` is not an integer"))?,
+                .ok_or_else(|| reject("admission/dag", "field `n` is not an integer"))?,
         };
         let seed = match doc.get("seed") {
             None => 0xD15,
             Some(v) => {
                 let s = v
                     .as_i64()
-                    .ok_or_else(|| dag_err("admission/dag", "field `seed` is not an integer"))?;
+                    .ok_or_else(|| reject("admission/dag", "field `seed` is not an integer"))?;
                 u64::try_from(s).map_err(|_| {
-                    dag_err("admission/dag", format!("field `seed` is negative ({s})"))
+                    reject("admission/dag", format!("field `seed` is negative ({s})"))
                 })?
             }
         };
@@ -245,14 +224,14 @@ impl DagRequest {
             None | Some(Json::Null) => None,
             Some(v) => Some(
                 v.as_str()
-                    .ok_or_else(|| dag_err("admission/dag", "field `tenant` is not a string"))?
+                    .ok_or_else(|| reject("admission/dag", "field `tenant` is not a string"))?
                     .to_string(),
             ),
         };
         let fuse = match doc.get("fuse") {
             None => true,
             Some(Json::Bool(b)) => *b,
-            Some(_) => return Err(dag_err("admission/dag", "field `fuse` is not a boolean")),
+            Some(_) => return Err(reject("admission/dag", "field `fuse` is not a boolean")),
         };
         Ok(DagRequest {
             nodes,
@@ -304,17 +283,12 @@ impl DagRequest {
 /// to every node, **including ones fed by intermediates** (an illegal
 /// intermediate size would otherwise surface as a launch failure after
 /// tuning already ran).
-pub fn admit_dag(req: &DagRequest) -> Result<(), DagError> {
-    if req.n < 1 {
-        return Err(dag_err(
-            "admission/size",
-            format!("problem size {} out of range", req.n),
-        ));
-    }
+pub fn admit_dag(req: &DagRequest) -> Result<(), Rejection> {
+    check_size(req.n)?;
     for node in &req.nodes {
         if let Some(tile) = solver_tile(node.routine) {
             if req.n % tile != 0 {
-                return Err(dag_err(
+                return Err(reject(
                     "admission/size-constraint",
                     format!(
                         "node `{}`: {} requires n to be a multiple of the {tile}-wide \
@@ -455,7 +429,7 @@ impl Registry {
     /// decision.
     pub fn run_dag_observed(&self, req: &DagRequest, obs: &mut dyn FnMut(TuneEvent)) -> DagOutcome {
         let t0 = Instant::now();
-        let fail = |e: DagError| DagOutcome {
+        let fail = |e: Rejection| DagOutcome {
             request: req.clone(),
             status: DagStatus::Failed {
                 class: e.class,
@@ -500,7 +474,7 @@ impl Registry {
                     ms: t0.elapsed().as_secs_f64() * 1e3,
                 }),
             },
-            Err(reason) => fail(dag_err("exec", reason)),
+            Err(reason) => fail(reject("exec", reason)),
         }
     }
 }
@@ -510,7 +484,7 @@ mod tests {
     use super::*;
     use oa_gpusim::{DeviceSpec, ExecEngine};
 
-    fn parse(line: &str) -> Result<DagRequest, DagError> {
+    fn parse(line: &str) -> Result<DagRequest, Rejection> {
         let doc = oa_autotune::json::parse(line).expect("valid JSON");
         DagRequest::from_json(&doc)
     }

@@ -95,39 +95,45 @@ impl Request {
     /// `{"routine": "GEMM-NN", "n": 64, "seed": 7, "zero_blanks": true,
     /// "tenant": "team-a"}` (`routine` required; `n` defaults to 64,
     /// `seed` to 0xD15, `zero_blanks` to true, `tenant` to anonymous).
-    pub fn from_json(doc: &Json) -> Result<Request, String> {
+    /// Malformed fields are rejected as `parse`, a size outside
+    /// `1..=MAX_N` as `admission/size` ([`check_size`]).
+    pub fn from_json(doc: &Json) -> Result<Request, Rejection> {
+        let parse = |reason: String| reject("parse", reason);
         let name = doc
             .get("routine")
             .and_then(Json::as_str)
-            .ok_or("missing `routine` field")?;
-        let routine = RoutineId::parse(name).ok_or_else(|| format!("unknown routine `{name}`"))?;
+            .ok_or_else(|| parse("missing `routine` field".into()))?;
+        let routine =
+            RoutineId::parse(name).ok_or_else(|| parse(format!("unknown routine `{name}`")))?;
         let n = match doc.get("n") {
             None => 64,
-            Some(v) => v.as_i64().ok_or("field `n` is not an integer")?,
+            Some(v) => v
+                .as_i64()
+                .ok_or_else(|| parse("field `n` is not an integer".into()))?,
         };
-        if n < 1 {
-            return Err(format!("problem size {n} out of range"));
-        }
+        check_size(n)?;
         // A negative seed must be rejected, not wrapped: `-1 as u64` is
         // 2^64-1, which would silently serve a different input set than
         // the client asked for.
         let seed = match doc.get("seed") {
             None => 0xD15,
             Some(v) => {
-                let s = v.as_i64().ok_or("field `seed` is not an integer")?;
-                u64::try_from(s).map_err(|_| format!("field `seed` is negative ({s})"))?
+                let s = v
+                    .as_i64()
+                    .ok_or_else(|| parse("field `seed` is not an integer".into()))?;
+                u64::try_from(s).map_err(|_| parse(format!("field `seed` is negative ({s})")))?
             }
         };
         let zero_blanks = match doc.get("zero_blanks") {
             None => true,
             Some(Json::Bool(b)) => *b,
-            Some(_) => return Err("field `zero_blanks` is not a boolean".into()),
+            Some(_) => return Err(parse("field `zero_blanks` is not a boolean".into())),
         };
         let tenant = match doc.get("tenant") {
             None | Some(Json::Null) => None,
             Some(v) => Some(
                 v.as_str()
-                    .ok_or("field `tenant` is not a string")?
+                    .ok_or_else(|| parse("field `tenant` is not a string".into()))?
                     .to_string(),
             ),
         };
@@ -155,6 +161,43 @@ impl Request {
     }
 }
 
+/// The largest admitted problem size: the paper's largest (n = 4096).
+/// Every buffer of a request holds `n²` floats, so an unbounded `n` lets
+/// one line make the server fail an allocation and abort for every
+/// tenant.
+pub const MAX_N: i64 = 4096;
+
+/// A structured rejection: stable class plus human-readable reason, the
+/// `class`/`reason` pair of a JSONL error line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Rejection {
+    /// Stable failure class (`parse`, `admission/size`, `admission/dag`,
+    /// `admission/overload`…).
+    pub class: &'static str,
+    /// Human-readable cause.
+    pub reason: String,
+}
+
+pub(crate) fn reject(class: &'static str, reason: impl Into<String>) -> Rejection {
+    Rejection {
+        class,
+        reason: reason.into(),
+    }
+}
+
+/// The one problem-size range check, `1..=MAX_N`, that request parsing
+/// and both admission paths ([`admit`], [`crate::dag::admit_dag`]) run.
+pub fn check_size(n: i64) -> Result<(), Rejection> {
+    if (1..=MAX_N).contains(&n) {
+        Ok(())
+    } else {
+        Err(reject(
+            "admission/size",
+            format!("problem size {n} out of range 1..={MAX_N}"),
+        ))
+    }
+}
+
 /// The column-tile width `routine`'s generated kernels serialize along,
 /// when they carry one.  The triangular-solver schemes substitute down a
 /// barrier-synchronized 64-wide column block, so TRSM problem sizes must
@@ -172,12 +215,10 @@ pub fn solver_tile(routine: RoutineId) -> Option<i64> {
 /// up front.  Returns the structured failure (`admission/...` class) the
 /// request would otherwise hit much later in the pipeline.
 pub fn admit(req: &Request) -> Result<(), RequestStatus> {
-    if req.n < 1 {
-        return Err(RequestStatus::Failed {
-            class: "admission/size",
-            reason: format!("problem size {} out of range", req.n),
-        });
-    }
+    check_size(req.n).map_err(|r| RequestStatus::Failed {
+        class: r.class,
+        reason: r.reason,
+    })?;
     if let Some(tile) = solver_tile(req.routine) {
         if req.n % tile != 0 {
             return Err(RequestStatus::Failed {
@@ -820,6 +861,25 @@ impl Registry {
         Ok((e, false))
     }
 
+    /// Admit, resolve and fetch-or-compile `req`'s program — the front
+    /// half every execution path shares.  `Err` is the request's terminal
+    /// status.
+    fn prepare(
+        &self,
+        req: &Request,
+        obs: &mut dyn FnMut(TuneEvent),
+    ) -> Result<(Arc<CompiledEntry>, bool), RequestStatus> {
+        admit(req)?;
+        let entry = self
+            .resolve_observed(req.routine, req.n, obs)
+            .map_err(|reason| RequestStatus::Failed {
+                class: "resolve",
+                reason,
+            })?;
+        self.compiled(req.routine, &entry, req.n)
+            .map_err(|(class, reason)| RequestStatus::Failed { class, reason })
+    }
+
     /// Execute one request end to end, optionally returning the executed
     /// buffers (the differential suite compares them bit-for-bit against
     /// a direct engine run).  [`admit`] runs first, so constraint
@@ -838,30 +898,16 @@ impl Registry {
         obs: &mut dyn FnMut(TuneEvent),
     ) -> (RequestOutcome, Option<Buffers>) {
         let t0 = Instant::now();
-        let fail = |status: RequestStatus| RequestOutcome {
-            request: req.clone(),
-            status,
-        };
-        if let Err(status) = admit(req) {
-            return (fail(status), None);
+        match self.prepare(req, obs) {
+            Ok((ce, cache_hit)) => self.finish_one(req, &ce, cache_hit, t0),
+            Err(status) => (
+                RequestOutcome {
+                    request: req.clone(),
+                    status,
+                },
+                None,
+            ),
         }
-        let entry = match self.resolve_observed(req.routine, req.n, obs) {
-            Ok(e) => e,
-            Err(reason) => {
-                return (
-                    fail(RequestStatus::Failed {
-                        class: "resolve",
-                        reason,
-                    }),
-                    None,
-                )
-            }
-        };
-        let (ce, cache_hit) = match self.compiled(req.routine, &entry, req.n) {
-            Ok(x) => x,
-            Err((class, reason)) => return (fail(RequestStatus::Failed { class, reason }), None),
-        };
-        self.finish_one(req, &ce, cache_hit, t0)
     }
 
     /// Prepare inputs, execute a compiled program, and build the
@@ -942,50 +988,26 @@ impl Registry {
         let mut shared: Option<(RoutineId, i64, Arc<CompiledEntry>)> = None;
         for req in reqs {
             let t0 = Instant::now();
-            if let Err(status) = admit(req) {
-                out.push(RequestOutcome {
+            let prepared = match &shared {
+                // Every request after the first reuses the group's
+                // compiled program: a cache hit by construction (admission
+                // depends only on `(routine, n)`, which the first member
+                // passed).  The key check keeps a mis-coalesced group
+                // correct (it falls back to its own resolve) instead of
+                // running the wrong program.
+                Some((r, n, ce)) if *r == req.routine && *n == req.n => Ok((ce.clone(), true)),
+                _ => self.prepare(req, obs),
+            };
+            match prepared {
+                Ok((ce, cache_hit)) => {
+                    shared = Some((req.routine, req.n, ce.clone()));
+                    out.push(self.finish_one(req, &ce, cache_hit, t0).0);
+                }
+                Err(status) => out.push(RequestOutcome {
                     request: req.clone(),
                     status,
-                });
-                continue;
+                }),
             }
-            let (ce, cache_hit) = match &shared {
-                // Every request after the first reuses the group's
-                // compiled program: a cache hit by construction.  The
-                // key check keeps a mis-coalesced group correct (it
-                // falls back to its own resolve) instead of running the
-                // wrong program.
-                Some((r, n, ce)) if *r == req.routine && *n == req.n => (ce.clone(), true),
-                _ => {
-                    let entry = match self.resolve_observed(req.routine, req.n, obs) {
-                        Ok(e) => e,
-                        Err(reason) => {
-                            out.push(RequestOutcome {
-                                request: req.clone(),
-                                status: RequestStatus::Failed {
-                                    class: "resolve",
-                                    reason,
-                                },
-                            });
-                            continue;
-                        }
-                    };
-                    match self.compiled(req.routine, &entry, req.n) {
-                        Ok((ce, hit)) => {
-                            shared = Some((req.routine, req.n, ce.clone()));
-                            (ce, hit)
-                        }
-                        Err((class, reason)) => {
-                            out.push(RequestOutcome {
-                                request: req.clone(),
-                                status: RequestStatus::Failed { class, reason },
-                            });
-                            continue;
-                        }
-                    }
-                }
-            };
-            out.push(self.finish_one(req, &ce, cache_hit, t0).0);
         }
         out
     }
@@ -1097,18 +1119,42 @@ mod tests {
             &oa_autotune::json::parse(r#"{"routine": "GEMM-NN", "seed": -1}"#).unwrap(),
         )
         .unwrap_err();
-        assert!(err.contains("negative"), "unexpected error: {err}");
+        assert_eq!(err.class, "parse");
+        assert!(err.reason.contains("negative"), "unexpected error: {err:?}");
         let err = Request::from_json(
             &oa_autotune::json::parse(r#"{"routine": "GEMM-NN", "seed": 1.5}"#).unwrap(),
         )
         .unwrap_err();
-        assert!(err.contains("integer"), "unexpected error: {err}");
+        assert!(err.reason.contains("integer"), "unexpected error: {err:?}");
         // Boundary: zero and large positive seeds still parse.
         let ok = Request::from_json(
             &oa_autotune::json::parse(r#"{"routine": "GEMM-NN", "seed": 0}"#).unwrap(),
         )
         .unwrap();
         assert_eq!(ok.seed, 0);
+    }
+
+    #[test]
+    fn size_range_is_one_through_max_n() {
+        assert!(check_size(1).is_ok() && check_size(MAX_N).is_ok());
+        for n in [0, -3, MAX_N + 1, 1_000_000] {
+            assert_eq!(
+                check_size(n).unwrap_err().class,
+                "admission/size",
+                "n = {n}"
+            );
+        }
+        let line = format!(r#"{{"routine": "GEMM-NN", "n": {}}}"#, MAX_N + 1);
+        let err = Request::from_json(&oa_autotune::json::parse(&line).unwrap()).unwrap_err();
+        assert_eq!(err.class, "admission/size");
+        let big = Request::new(RoutineId::Gemm(Trans::N, Trans::N), MAX_N + 1);
+        assert!(matches!(
+            admit(&big),
+            Err(RequestStatus::Failed {
+                class: "admission/size",
+                ..
+            })
+        ));
     }
 
     #[test]

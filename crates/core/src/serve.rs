@@ -38,7 +38,7 @@
 //! the server test battery pins this digest-for-digest.
 
 use crate::dag::{DagRequest, DagStatus};
-use crate::dispatch::{Registry, Request};
+use crate::dispatch::{reject, Registry, Rejection, Request};
 use crate::trace::{emit, stderr_observer, TraceMode};
 use oa_autotune::json::Json;
 use oa_autotune::report::{BatchStats, ServeStats};
@@ -226,16 +226,6 @@ impl ConnOut {
 // ---------------------------------------------------------------------
 // Admission
 // ---------------------------------------------------------------------
-
-/// Why a request was refused at admission.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Rejection {
-    /// Stable class for the JSONL error line (`admission/overload`,
-    /// `admission/shutdown`).
-    pub class: &'static str,
-    /// Human-readable cause.
-    pub reason: String,
-}
 
 struct AdmissionInner<T> {
     queues: HashMap<String, VecDeque<T>>,
@@ -536,6 +526,17 @@ enum Work {
 }
 
 impl Work {
+    /// Parse one request document; a `dag` field selects the DAG schema.
+    /// Rejections carry their structured class (`parse`,
+    /// `admission/size`, `admission/dag*`).
+    fn from_json(doc: &Json) -> Result<Work, Rejection> {
+        if doc.get("dag").is_some() {
+            DagRequest::from_json(doc).map(Work::Dag)
+        } else {
+            Request::from_json(doc).map(Work::Single)
+        }
+    }
+
     fn tenant_name(&self) -> &str {
         match self {
             Work::Single(r) => r.tenant_name(),
@@ -743,25 +744,12 @@ fn handle_line(line: &str, next_id: &mut u64, out: &Arc<ConnOut>, ctx: &Arc<Serv
     }
     let id = *next_id;
     *next_id += 1;
-    // A `dag` field selects the DAG schema; its violations carry their
-    // own structured `admission/dag*` classes.
-    let work = if doc.get("dag").is_some() {
-        match DagRequest::from_json(&doc) {
-            Ok(d) => Work::Dag(d),
-            Err(e) => {
-                ctx.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                out.send_line(&error_line(Some(id), e.class, &e.reason));
-                return false;
-            }
-        }
-    } else {
-        match Request::from_json(&doc) {
-            Ok(r) => Work::Single(r),
-            Err(e) => {
-                ctx.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                out.send_line(&error_line(Some(id), "parse", &e));
-                return false;
-            }
+    let work = match Work::from_json(&doc) {
+        Ok(w) => w,
+        Err(e) => {
+            ctx.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            out.send_line(&error_line(Some(id), e.class, &e.reason));
+            return false;
         }
     };
     let tenant = work.tenant_name().to_string();
@@ -1101,15 +1089,8 @@ pub fn serve_stream(
             let id = submitted;
             submitted += 1;
             let parsed = match oa_autotune::json::parse(trimmed) {
-                // The `dag` field selects the DAG schema with its own
-                // structured `admission/dag*` error classes.
-                Some(doc) if doc.get("dag").is_some() => DagRequest::from_json(&doc)
-                    .map(Work::Dag)
-                    .map_err(|e| (e.class, e.reason)),
-                Some(doc) => Request::from_json(&doc)
-                    .map(Work::Single)
-                    .map_err(|e| ("parse", e)),
-                None => Err(("parse", "not valid JSON".to_string())),
+                Some(doc) => Work::from_json(&doc),
+                None => Err(reject("parse", "not valid JSON")),
             };
             match parsed {
                 Ok(work) => {
@@ -1117,10 +1098,10 @@ pub fn serve_stream(
                         break;
                     }
                 }
-                Err((class, e)) => {
+                Err(e) => {
                     failed_count.fetch_add(1, Ordering::Relaxed);
                     if tx_out
-                        .send((id, error_line(Some(id as u64), class, &e)))
+                        .send((id, error_line(Some(id as u64), e.class, &e.reason)))
                         .is_err()
                     {
                         break;

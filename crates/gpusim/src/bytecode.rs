@@ -1,12 +1,19 @@
-//! Linear-bytecode lowering: the second compilation stage of the GPU
-//! simulator.
+//! Linear-bytecode lowering: the one compilation stage between a
+//! transformed [`Program`] and execution.
 //!
-//! [`Tape`](crate::tape::Tape) already resolves names to slots, but it
-//! still has *program structure*: nested `Vec<Op>` bodies and `Box`ed
-//! [`SExpr`] trees, with every affine subscript a full dot product that a
-//! per-thread walk would re-evaluate on every iteration.
-//! This module compiles a tape once more, into a flat `Vec` of fixed-size
-//! [`Instr`]uctions over
+//! [`ByteCode::compile`] extracts the launch shape and walks the
+//! per-thread body once, resolving names as it goes:
+//!
+//! * every variable becomes a slot in a flat per-thread frame
+//!   (`Vec<i64>`), so affine forms and predicates evaluate with integer
+//!   indexing only (see [`oa_loopir::slots`]); size parameters, derived
+//!   ceil-div parameters and bound scalar parameters fold to constants;
+//! * every array becomes an [`ArrRef`]: globals index a table, shared and
+//!   register tiles dense per-block arenas;
+//! * every guard's `blank_zero` reference becomes an index into the
+//!   runtime blank-flag vector.
+//!
+//! The walk emits a flat `Vec` of fixed-size [`Instr`]uctions over
 //!
 //! * **virtual f32 registers** — every scalar expression tree becomes a
 //!   short register program (loads, binary ops, fused multiply-adds);
@@ -17,8 +24,8 @@
 //!   branch instructions over a program counter, with an explicit mask
 //!   stack replacing per-thread control flow (see [`crate::vexec`]).
 //!
-//! Between lowering and linearization an optimizer pipeline runs over the
-//! structured form:
+//! Between lowering and linearization an optimizer pipeline runs over a
+//! structured form in which loops and guards still nest:
 //!
 //! 1. **constant folding** — affine forms with no live terms collapse to
 //!    immediates, single-term unit-coefficient forms collapse to plain
@@ -36,22 +43,69 @@
 //!    operand order preserved.
 //!
 //! The result executes on the lane-vectorized interpreter in
-//! [`crate::vexec`] and is bit-identical to the tree-walking oracle on
-//! every generated kernel (enforced by the
-//! `engine_differential` and `bytecode_differential` test suites).
+//! [`crate::vexec`], or on the native tier built over it
+//! ([`crate::native`]), and is bit-identical to the tree-walking oracle
+//! on every generated kernel (enforced by the `engine_differential` and
+//! `bytecode_differential` test suites).
 
-use oa_loopir::arrays::{AllocMode, Fill};
+use oa_loopir::arrays::{AllocMode, Fill, MemSpace};
+use oa_loopir::expr::{AffineExpr, Predicate};
 use oa_loopir::interp::Bindings;
 use oa_loopir::nest::MapKernel;
-use oa_loopir::scalar::BinOp;
-use oa_loopir::slots::{SlotExpr, SlotPred};
-use oa_loopir::stmt::AssignOp;
+use oa_loopir::scalar::{BinOp, ScalarExpr};
+use oa_loopir::slots::{SlotExpr, SlotMap, SlotPred};
+use oa_loopir::stmt::{AssignOp, RegTile, Stmt};
 use oa_loopir::Program;
 use std::collections::{HashMap, HashSet};
 
-use crate::exec::ExecError;
-use crate::launch::Builtin;
-use crate::tape::{ArrRef, GlobalInfo, Op, RegDecl, SExpr, SmemDecl, Tape};
+use crate::exec::{has_barrier, ExecError};
+use crate::launch::{extract_launch, Builtin};
+
+/// The per-thread specials, registered as frame slots `0..6` before any
+/// program variable: the thread indices, then the staging (`__sr`/`__sc`)
+/// and register-tile (`__gr`/`__gc`) coordinates guards may mention.
+const SPECIALS: [&str; 6] = ["__tx", "__ty", "__sr", "__sc", "__gr", "__gc"];
+pub(crate) const TX_SLOT: usize = 0;
+pub(crate) const TY_SLOT: usize = 1;
+pub(crate) const SR_SLOT: usize = 2;
+pub(crate) const SC_SLOT: usize = 3;
+pub(crate) const GR_SLOT: usize = 4;
+pub(crate) const GC_SLOT: usize = 5;
+
+/// A resolved array reference.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ArrRef {
+    /// Index into the global-array table.
+    Global(usize),
+    /// Index into the per-block shared-tile arena.
+    Shared(usize),
+    /// Index into the per-block register-tile arena (per thread).
+    Reg(usize),
+}
+
+/// One global array of the program.
+#[derive(Clone, Debug)]
+pub(crate) struct GlobalInfo {
+    pub(crate) name: String,
+    /// Whether the kernel body ever writes this array. Read-only arrays
+    /// skip the overlay lookup entirely.
+    pub(crate) written: bool,
+}
+
+/// Shared-tile shape.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SmemDecl {
+    pub(crate) rows: i64,
+    pub(crate) cols: i64,
+    pub(crate) pad: i64,
+}
+
+/// Register-tile shape.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RegDecl {
+    pub(crate) rows: i64,
+    pub(crate) cols: i64,
+}
 
 /// Static lane-structure of a load/store address, computed by
 /// [`mark_lanes`].
@@ -221,7 +275,7 @@ pub(crate) struct MoveOp {
     pub(crate) guard: u32,
 }
 
-/// A tape lowered to linear bytecode: flat instruction stream plus the
+/// A program lowered to linear bytecode: flat instruction stream plus the
 /// interned side tables. Compile once, execute many times on the
 /// lane-vectorized interpreter ([`crate::vexec`]).
 #[derive(Clone, Debug)]
@@ -230,18 +284,13 @@ pub struct ByteCode {
     pub grid: (i64, i64),
     /// Block dimensions `(bx, by)` in threads.
     pub block: (i64, i64),
-    /// Lane-frame length in i64 slots (tape slots + loop-bound and cache
-    /// slots added during lowering).
+    /// Lane-frame length in i64 slots (specials and program variables,
+    /// then the loop-bound and cache slots the lowering adds).
     pub(crate) n_slots: usize,
     /// Virtual f32 register file size per lane.
     pub(crate) n_fregs: usize,
+    /// Mapped-variable slots and the builtin index each takes.
     pub(crate) binds: Vec<(usize, Builtin)>,
-    pub(crate) tx_slot: usize,
-    pub(crate) ty_slot: usize,
-    pub(crate) sr_slot: usize,
-    pub(crate) sc_slot: usize,
-    pub(crate) gr_slot: usize,
-    pub(crate) gc_slot: usize,
     pub(crate) code: Vec<Instr>,
     /// Interned affine address units.
     pub(crate) units: Vec<SlotExpr>,
@@ -265,9 +314,15 @@ pub struct ByteCode {
     pub(crate) reg_off: Vec<usize>,
     /// Total register-arena length in elements per lane.
     pub(crate) reg_len: usize,
+    /// `(global index, fill)` per runtime blank-zero check; flag `i` of the
+    /// runtime flag vector is computed from entry `i`.
     pub(crate) blank_checks: Vec<(usize, Fill)>,
+    /// Flag-vector length; may exceed `blank_checks.len()` when guards
+    /// reference arrays with no check (those flags stay `false`, as in the
+    /// oracle).
     pub(crate) n_blank_flags: usize,
     pub(crate) prologues: Vec<MapKernel>,
+    /// Pre-resolved values for every name the prologue extents mention.
     pub(crate) prologue_env: HashMap<String, i64>,
     /// Per-slot lane-affinity classes from [`mark_lanes`] — the loop and
     /// address metadata the native lowering's pattern matcher consumes.
@@ -275,47 +330,118 @@ pub struct ByteCode {
 }
 
 impl ByteCode {
-    /// Lower `p` for concrete `bindings`: tape compilation followed by
-    /// the bytecode lowering and optimizer pipeline.
+    /// Lower `p` for concrete `bindings`: launch extraction, the
+    /// resolving walk over the per-thread body, the optimizer pipeline and
+    /// linearization.
     pub fn compile(p: &Program, bindings: &Bindings) -> Result<ByteCode, ExecError> {
-        Ok(Self::from_tape(&Tape::compile(p, bindings)?))
-    }
+        let launch = extract_launch(p, bindings)?;
 
-    /// Lower an already-compiled tape. Infallible: every launchable tape
-    /// lowers.
-    pub(crate) fn from_tape(tape: &Tape) -> ByteCode {
-        let mut lw = Lower::new(tape);
-        let mut nodes = lw.lower_ops(&tape.ops);
+        // Slot order: the specials, the mapped variables, then every loop
+        // variable in pre-order — all before the lowering's fresh slots.
+        let mut slots = SlotMap::new();
+        for name in SPECIALS {
+            slots.register(name);
+        }
+        let binds: Vec<(usize, Builtin)> = launch
+            .binds
+            .iter()
+            .map(|(v, b)| (slots.register(v), *b))
+            .collect();
+
+        // Array tables: globals keep their names (for buffer lookup and
+        // overlay merge); shared/register tiles get dense arena indices.
+        let mut arr_refs = HashMap::new();
+        let mut globals = Vec::new();
+        let (mut smem, mut smem_off, mut smem_len) = (Vec::new(), Vec::new(), 0usize);
+        let (mut regs, mut reg_off, mut reg_len) = (Vec::new(), Vec::new(), 0usize);
+        for a in &p.arrays {
+            let r = match a.space {
+                MemSpace::Global => {
+                    globals.push(GlobalInfo {
+                        name: a.name.clone(),
+                        written: false,
+                    });
+                    ArrRef::Global(globals.len() - 1)
+                }
+                MemSpace::Shared => {
+                    let d = SmemDecl {
+                        rows: a.rows.as_const().expect("shared dims are constant"),
+                        cols: a.cols.as_const().expect("shared dims are constant"),
+                        pad: a.pad,
+                    };
+                    smem_off.push(smem_len);
+                    smem_len += ((d.rows + d.pad) * d.cols) as usize;
+                    smem.push(d);
+                    ArrRef::Shared(smem.len() - 1)
+                }
+                MemSpace::Reg => {
+                    let d = RegDecl {
+                        rows: a.rows.as_const().expect("reg dims constant"),
+                        cols: a.cols.as_const().expect("reg dims constant"),
+                    };
+                    reg_off.push(reg_len);
+                    reg_len += (d.rows * d.cols) as usize;
+                    regs.push(d);
+                    ArrRef::Reg(regs.len() - 1)
+                }
+            };
+            arr_refs.insert(a.name.clone(), r);
+        }
+        declare(&launch.inner, &mut slots, &arr_refs, &mut globals);
+
+        let mut lw = Lower {
+            program: p,
+            bindings,
+            n_slots: slots.len(),
+            slots,
+            arr_refs,
+            blank_index: HashMap::new(),
+            n_blank_flags: 0,
+            units: Vec::new(),
+            unit_ix: HashMap::new(),
+            preds: Vec::new(),
+            stages: Vec::new(),
+            moves: Vec::new(),
+            labels: Vec::new(),
+            params: Vec::new(),
+            max_fregs: 0,
+        };
+
+        // Runtime blank-zero checks, in program order: flag i belongs to
+        // check i. Guards referencing unchecked arrays get extra
+        // always-false flags appended during lowering below.
+        let mut blank_checks = Vec::new();
+        for chk in &p.blank_checks {
+            let decl = p
+                .array(&chk.array)
+                .ok_or_else(|| ExecError::MissingBuffer(chk.array.clone()))?;
+            let g = lw.global(&chk.array)?;
+            lw.blank_index.insert(chk.array.clone(), blank_checks.len());
+            blank_checks.push((g, decl.fill));
+            lw.n_blank_flags += 1;
+        }
+
+        let mut nodes = lw.lower_stmts(&launch.inner)?;
         lw.optimize(&mut nodes);
         let mut code = Vec::new();
         emit_nodes(nodes, &mut code);
-        let lane_cls = mark_lanes(&mut code, &lw.units, lw.n_slots, tape);
+        let lane_cls = mark_lanes(&mut code, &lw.units, lw.n_slots, launch.block, &binds);
 
-        let mut smem_off = Vec::with_capacity(tape.smem.len());
-        let mut smem_len = 0usize;
-        for d in &tape.smem {
-            smem_off.push(smem_len);
-            smem_len += ((d.rows + d.pad) * d.cols) as usize;
-        }
-        let mut reg_off = Vec::with_capacity(tape.regs.len());
-        let mut reg_len = 0usize;
-        for d in &tape.regs {
-            reg_off.push(reg_len);
-            reg_len += (d.rows * d.cols) as usize;
+        // Resolve every name the prologue extents mention so execution
+        // needs no Program/Bindings back-reference.
+        let mut prologue_env = HashMap::new();
+        for mk in &p.prologues {
+            for name in mk.rows.vars().chain(mk.cols.vars()) {
+                prologue_env.insert(name.to_string(), p.resolve(name, bindings));
+            }
         }
 
-        ByteCode {
-            grid: tape.grid,
-            block: tape.block,
+        Ok(ByteCode {
+            grid: launch.grid,
+            block: launch.block,
             n_slots: lw.n_slots,
             n_fregs: lw.max_fregs,
-            binds: tape.binds.clone(),
-            tx_slot: tape.tx_slot,
-            ty_slot: tape.ty_slot,
-            sr_slot: tape.sr_slot,
-            sc_slot: tape.sc_slot,
-            gr_slot: tape.gr_slot,
-            gc_slot: tape.gc_slot,
+            binds,
             code,
             units: lw.units,
             preds: lw.preds,
@@ -323,19 +449,19 @@ impl ByteCode {
             moves: lw.moves,
             labels: lw.labels,
             params: lw.params,
-            globals: tape.globals.clone(),
-            smem: tape.smem.clone(),
+            globals,
+            smem,
             smem_off,
             smem_len,
-            regs: tape.regs.clone(),
+            regs,
             reg_off,
             reg_len,
-            blank_checks: tape.blank_checks.clone(),
-            n_blank_flags: tape.n_blank_flags,
-            prologues: tape.prologues.clone(),
-            prologue_env: tape.prologue_env.clone(),
+            blank_checks,
+            n_blank_flags: lw.n_blank_flags,
+            prologues: p.prologues.clone(),
+            prologue_env,
             lane_cls,
-        }
+        })
     }
 
     /// Threads per block (lanes of the vector interpreter).
@@ -371,9 +497,9 @@ impl ByteCode {
     }
 }
 
-/// Structured mid-form between the tape's `Op` tree and linear code:
-/// loops and guards still nest (so the optimizer can reason per region),
-/// but statements are already instruction sequences.
+/// Structured mid-form between the statement tree and linear code: loops
+/// and guards still nest (so the optimizer can reason per region), but
+/// statements are already instruction sequences.
 enum Node {
     I(Instr),
     Loop(Box<LoopNode>),
@@ -416,7 +542,13 @@ enum FVal {
 }
 
 struct Lower<'a> {
-    tape: &'a Tape,
+    program: &'a Program,
+    bindings: &'a Bindings,
+    slots: SlotMap,
+    arr_refs: HashMap<String, ArrRef>,
+    /// Array name → flag index, for guards' `blank_zero` references.
+    blank_index: HashMap<String, usize>,
+    n_blank_flags: usize,
     units: Vec<SlotExpr>,
     unit_ix: HashMap<SlotExpr, u32>,
     preds: Vec<SlotPred>,
@@ -428,22 +560,43 @@ struct Lower<'a> {
     max_fregs: usize,
 }
 
-impl<'a> Lower<'a> {
-    fn new(tape: &'a Tape) -> Self {
-        Lower {
-            tape,
-            units: Vec::new(),
-            unit_ix: HashMap::new(),
-            preds: Vec::new(),
-            stages: Vec::new(),
-            moves: Vec::new(),
-            labels: Vec::new(),
-            params: Vec::new(),
-            n_slots: tape.n_slots,
-            max_fregs: 0,
+/// The pass before lowering: register every loop variable as a frame
+/// slot (source pre-order, both branches of every guard, even one a
+/// constant predicate later drops) and mark each global array the body
+/// writes.
+fn declare(
+    stmts: &[Stmt],
+    slots: &mut SlotMap,
+    arr_refs: &HashMap<String, ArrRef>,
+    globals: &mut [GlobalInfo],
+) {
+    for s in stmts {
+        let target = match s {
+            Stmt::Loop(l) => {
+                slots.register(&l.var);
+                declare(&l.body, slots, arr_refs, globals);
+                continue;
+            }
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                declare(then_body, slots, arr_refs, globals);
+                declare(else_body, slots, arr_refs, globals);
+                continue;
+            }
+            Stmt::Assign(a) => &a.lhs.array,
+            Stmt::RegStore(rt) => &rt.global,
+            _ => continue,
+        };
+        if let Some(&ArrRef::Global(g)) = arr_refs.get(target) {
+            globals[g].written = true;
         }
     }
+}
 
+impl Lower<'_> {
     fn fresh_slot(&mut self) -> u32 {
         let s = self.n_slots;
         self.n_slots += 1;
@@ -459,8 +612,13 @@ impl<'a> Lower<'a> {
         r
     }
 
-    /// Constant-fold an affine form into the cheapest operand kind.
-    fn aop(&mut self, e: &SlotExpr) -> AOp {
+    // ---- name resolution -----------------------------------------------
+
+    /// Resolve an affine form against the frame slots and fold it into
+    /// the cheapest operand kind.
+    fn aop(&mut self, e: &AffineExpr) -> AOp {
+        let (program, bindings) = (self.program, self.bindings);
+        let e = SlotExpr::compile(e, &self.slots, &|n| program.resolve(n, bindings));
         if let Some(c) = e.as_const() {
             return AOp::Const(c);
         }
@@ -470,19 +628,40 @@ impl<'a> Lower<'a> {
         AOp::Unit(self.intern_unit(e))
     }
 
-    fn intern_unit(&mut self, e: &SlotExpr) -> u32 {
-        if let Some(&ix) = self.unit_ix.get(e) {
+    fn intern_unit(&mut self, e: SlotExpr) -> u32 {
+        if let Some(&ix) = self.unit_ix.get(&e) {
             return ix;
         }
         let ix = self.units.len() as u32;
         self.units.push(e.clone());
-        self.unit_ix.insert(e.clone(), ix);
+        self.unit_ix.insert(e, ix);
         ix
     }
 
-    fn intern_pred(&mut self, p: &SlotPred) -> u32 {
+    fn pred(&mut self, p: &Predicate) -> SlotPred {
+        let (program, bindings) = (self.program, self.bindings);
+        let blank_index = &mut self.blank_index;
+        let n_blank_flags = &mut self.n_blank_flags;
+        SlotPred::compile(
+            p,
+            &self.slots,
+            &|n| program.resolve(n, bindings),
+            &mut |name| {
+                *blank_index.entry(name.to_string()).or_insert_with(|| {
+                    // Guard references an array with no runtime check: give
+                    // it a fresh always-false flag, matching the oracle's
+                    // `unwrap_or(&false)`.
+                    let ix = *n_blank_flags;
+                    *n_blank_flags += 1;
+                    ix
+                })
+            },
+        )
+    }
+
+    fn intern_pred(&mut self, p: SlotPred) -> u32 {
         let ix = self.preds.len() as u32;
-        self.preds.push(p.clone());
+        self.preds.push(p);
         ix
     }
 
@@ -502,221 +681,242 @@ impl<'a> Lower<'a> {
         (all_true && !p.thread0_only && p.blank_flag.is_none()).then_some(true)
     }
 
-    // ---- lowering ------------------------------------------------------
-
-    fn lower_ops(&mut self, ops: &[Op]) -> Vec<Node> {
-        let mut out = Vec::new();
-        for op in ops {
-            self.lower_op(op, &mut out);
-        }
-        out
+    fn arr(&self, name: &str) -> Result<ArrRef, ExecError> {
+        self.arr_refs
+            .get(name)
+            .copied()
+            .ok_or_else(|| ExecError::MissingBuffer(name.to_string()))
     }
 
-    fn lower_op(&mut self, op: &Op, out: &mut Vec<Node>) {
-        match op {
-            Op::Loop {
-                var,
-                lower,
-                upper,
-                has_barrier,
-                label,
-                body,
-            } => {
-                let lo = self.aop(lower);
-                let hi_src = self.aop(upper);
+    fn global(&self, name: &str) -> Result<usize, ExecError> {
+        match self.arr(name)? {
+            ArrRef::Global(g) => Ok(g),
+            _ => Err(ExecError::MissingBuffer(name.to_string())),
+        }
+    }
+
+    fn reg(&self, name: &str) -> Result<usize, ExecError> {
+        match self.arr(name)? {
+            ArrRef::Reg(r) => Ok(r),
+            _ => Err(ExecError::MissingBuffer(name.to_string())),
+        }
+    }
+
+    // ---- lowering ------------------------------------------------------
+
+    fn lower_stmts(&mut self, stmts: &[Stmt]) -> Result<Vec<Node>, ExecError> {
+        let mut out = Vec::new();
+        for s in stmts {
+            self.lower_stmt(s, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    fn lower_stmt(&mut self, s: &Stmt, out: &mut Vec<Node>) -> Result<(), ExecError> {
+        match s {
+            Stmt::Loop(l) => {
+                let lo = self.aop(&l.lower);
+                let hi_src = self.aop(&l.upper);
                 let hi = self.fresh_slot();
-                let label_ix = self.labels.len() as u32;
-                self.labels.push(label.clone());
-                let body = self.lower_ops(body);
+                let label = self.labels.len() as u32;
+                self.labels.push(l.label.clone());
+                let var = self.slots.get(&l.var).expect("declared loop variable") as u32;
+                let body = self.lower_stmts(&l.body)?;
                 out.push(Node::Loop(Box::new(LoopNode {
-                    var: *var as u32,
+                    var,
                     hi,
                     lo,
                     hi_src,
-                    uniform: *has_barrier,
-                    label: label_ix,
+                    uniform: has_barrier(s),
+                    label,
                     pre: Vec::new(),
                     init: Vec::new(),
                     body,
                     steps: Vec::new(),
                 })));
             }
-            Op::Assign {
-                arr,
-                row,
-                col,
-                op,
-                rhs,
-            } => {
+            Stmt::Assign(a) => {
+                let arr = self.arr(&a.lhs.array)?;
                 let mut nf = 0u32;
-                let v = self.expr(rhs, &mut nf, out);
+                let v = self.expr(&a.rhs, &mut nf, out)?;
                 let src = self.materialize(v, &mut nf, out);
-                let (row, col) = (self.aop(row), self.aop(col));
+                let (row, col) = (self.aop(&a.lhs.row), self.aop(&a.lhs.col));
                 out.push(Node::I(Instr::FStore {
                     src,
-                    arr: *arr,
+                    arr,
                     row,
                     col,
-                    op: *op,
+                    op: a.op,
                     addr: AddrClass::Generic, // refined by `mark_lanes`
                 }));
             }
-            Op::If {
+            Stmt::If {
                 pred,
-                has_barrier,
-                then_ops,
-                else_ops,
+                then_body,
+                else_body,
             } => {
-                if let Some(v) = Self::pred_const(pred) {
+                let pred = self.pred(pred);
+                if let Some(v) = Self::pred_const(&pred) {
                     // Constant guard: inline the taken branch (a uniform
                     // guard with a constant predicate is trivially
                     // uniform, so the divergence check can be dropped).
-                    let taken = if v { then_ops } else { else_ops };
-                    for op in taken {
-                        self.lower_op(op, out);
+                    let taken = if v { then_body } else { else_body };
+                    for s in taken {
+                        self.lower_stmt(s, out)?;
                     }
-                    return;
+                    return Ok(());
                 }
-                if then_ops.is_empty() && else_ops.is_empty() {
-                    return; // predicate evaluation is pure
+                if then_body.is_empty() && else_body.is_empty() {
+                    return Ok(()); // predicate evaluation is pure
                 }
                 let pred = self.intern_pred(pred);
-                let then_b = self.lower_ops(then_ops);
-                let else_b = self.lower_ops(else_ops);
+                let then_b = self.lower_stmts(then_body)?;
+                let else_b = self.lower_stmts(else_body)?;
                 out.push(Node::If(Box::new(IfNode {
                     pred,
-                    uniform: *has_barrier,
+                    uniform: has_barrier(s),
                     then_b,
                     else_b,
                 })));
             }
-            Op::Stage {
-                dst,
-                src,
-                row0,
-                col0,
-                rows,
-                cols,
-                mode,
-                src_fill,
-                guard,
-            } => {
+            Stmt::Stage(st) => {
+                let dst = match self.arr(&st.dst)? {
+                    ArrRef::Shared(d) => d,
+                    _ => return Err(ExecError::MissingBuffer(st.dst.clone())),
+                };
+                let src = self.global(&st.src)?;
+                let guard = self.pred(&st.guard);
                 let guard = self.intern_pred(guard);
-                let (row0, col0) = (self.aop(row0), self.aop(col0));
+                let (row0, col0) = (self.aop(&st.src_row0), self.aop(&st.src_col0));
                 let ix = self.stages.len() as u32;
                 self.stages.push(StageOp {
-                    dst: *dst,
-                    src: *src,
+                    dst,
+                    src,
                     row0,
                     col0,
-                    rows: *rows,
-                    cols: *cols,
-                    mode: *mode,
-                    src_fill: *src_fill,
+                    rows: st.rows,
+                    cols: st.cols,
+                    mode: st.mode,
+                    src_fill: st.src_fill,
                     guard,
                 });
                 out.push(Node::I(Instr::Stage { ix }));
             }
-            Op::RegMove {
-                load,
-                reg,
-                global,
-                row0,
-                col0,
-                row_stride,
-                col_stride,
-                rows,
-                cols,
-                guard,
-            } => {
-                let guard = self.intern_pred(guard);
-                let (row0, col0) = (self.aop(row0), self.aop(col0));
-                let ix = self.moves.len() as u32;
-                self.moves.push(MoveOp {
-                    load: *load,
-                    reg: *reg,
-                    global: *global,
-                    row0,
-                    col0,
-                    row_stride: *row_stride,
-                    col_stride: *col_stride,
-                    rows: *rows,
-                    cols: *cols,
-                    guard,
-                });
-                out.push(Node::I(Instr::Move { ix }));
+            Stmt::RegLoad(rt) => self.reg_move(rt, true, out)?,
+            Stmt::RegStore(rt) => self.reg_move(rt, false, out)?,
+            Stmt::RegZero(rt) => {
+                let reg = self.reg(&rt.reg)? as u32;
+                out.push(Node::I(Instr::RegZero { reg }));
             }
-            Op::RegZero { reg } => out.push(Node::I(Instr::RegZero { reg: *reg as u32 })),
-            Op::Sync => {} // instruction-lockstep execution needs no fence
+            Stmt::Sync => {} // instruction-lockstep execution needs no fence
         }
+        Ok(())
+    }
+
+    fn reg_move(&mut self, rt: &RegTile, load: bool, out: &mut Vec<Node>) -> Result<(), ExecError> {
+        let reg = self.reg(&rt.reg)?;
+        let global = self.global(&rt.global)?;
+        let guard = self.pred(&rt.guard);
+        let guard = self.intern_pred(guard);
+        let (row0, col0) = (self.aop(&rt.row0), self.aop(&rt.col0));
+        let ix = self.moves.len() as u32;
+        self.moves.push(MoveOp {
+            load,
+            reg,
+            global,
+            row0,
+            col0,
+            row_stride: rt.row_stride,
+            col_stride: rt.col_stride,
+            rows: rt.rows,
+            cols: rt.cols,
+            guard,
+        });
+        out.push(Node::I(Instr::Move { ix }));
+        Ok(())
     }
 
     /// Lower a scalar tree, folding constants and fusing `a*b ± c` /
-    /// `c ± a*b` into FMA. Subexpression evaluation order follows the
-    /// tape (left before right) — loads are pure, but keeping the order
-    /// makes the instruction stream directly comparable.
-    fn expr(&mut self, e: &SExpr, nf: &mut u32, out: &mut Vec<Node>) -> FVal {
-        match e {
-            SExpr::Lit(v) => FVal::Const(*v),
-            SExpr::Param(_, Some(v)) => FVal::Const(*v),
-            SExpr::Param(name, None) => {
-                let ix = self.params.len() as u32;
-                self.params.push(name.clone());
-                out.push(Node::I(Instr::FParamPanic { name: ix }));
-                // Unreachable at runtime; the register is never written.
-                FVal::Reg(self.freg(nf))
-            }
-            SExpr::Load(arr, row, col) => {
+    /// `c ± a*b` into FMA. Subexpressions are lowered left before right —
+    /// loads are pure, but keeping the source order makes the instruction
+    /// stream directly comparable.
+    fn expr(
+        &mut self,
+        e: &ScalarExpr,
+        nf: &mut u32,
+        out: &mut Vec<Node>,
+    ) -> Result<FVal, ExecError> {
+        Ok(match e {
+            ScalarExpr::Lit(v) => FVal::Const(*v),
+            ScalarExpr::Param(name) => match self.bindings.scalars.get(name) {
+                Some(v) => FVal::Const(*v),
+                None => {
+                    let ix = self.params.len() as u32;
+                    self.params.push(name.clone());
+                    out.push(Node::I(Instr::FParamPanic { name: ix }));
+                    // Unreachable at runtime; the register is never written.
+                    FVal::Reg(self.freg(nf))
+                }
+            },
+            ScalarExpr::Load(acc) => {
+                let arr = self.arr(&acc.array)?;
                 let dst = self.freg(nf);
-                let (row, col) = (self.aop(row), self.aop(col));
+                let (row, col) = (self.aop(&acc.row), self.aop(&acc.col));
                 out.push(Node::I(Instr::FLoad {
                     dst,
-                    arr: *arr,
+                    arr,
                     row,
                     col,
                     addr: AddrClass::Generic, // refined by `mark_lanes`
                 }));
                 FVal::Reg(dst)
             }
-            SExpr::Bin(op @ (BinOp::Add | BinOp::Sub), l, r) => {
-                if let SExpr::Bin(BinOp::Mul, a, b) = &**l {
-                    // (a*b) op c — multiply evaluated first, as the tape
-                    // evaluates the left subtree first.
-                    let va = self.expr(a, nf, out);
-                    let vb = self.expr(b, nf, out);
-                    let vc = self.expr(r, nf, out);
+            ScalarExpr::Bin(op @ (BinOp::Add | BinOp::Sub), l, r) => {
+                if let ScalarExpr::Bin(BinOp::Mul, a, b) = &**l {
+                    // (a*b) op c — the multiply is the left subtree, so it
+                    // is evaluated first.
+                    let va = self.expr(a, nf, out)?;
+                    let vb = self.expr(b, nf, out)?;
+                    let vc = self.expr(r, nf, out)?;
                     if let (FVal::Const(x), FVal::Const(y), FVal::Const(z)) = (va, vb, vc) {
-                        return FVal::Const(op.apply(BinOp::Mul.apply(x, y), z));
+                        return Ok(FVal::Const(op.apply(BinOp::Mul.apply(x, y), z)));
                     }
-                    return self.fma(*op, va, vb, vc, true, nf, out);
+                    return Ok(self.fma(*op, va, vb, vc, true, nf, out));
                 }
-                if let SExpr::Bin(BinOp::Mul, a, b) = &**r {
+                if let ScalarExpr::Bin(BinOp::Mul, a, b) = &**r {
                     // c op (a*b) — c is the left subtree, evaluated first.
-                    let vc = self.expr(l, nf, out);
-                    let va = self.expr(a, nf, out);
-                    let vb = self.expr(b, nf, out);
+                    let vc = self.expr(l, nf, out)?;
+                    let va = self.expr(a, nf, out)?;
+                    let vb = self.expr(b, nf, out)?;
                     if let (FVal::Const(x), FVal::Const(y), FVal::Const(z)) = (va, vb, vc) {
-                        return FVal::Const(op.apply(z, BinOp::Mul.apply(x, y)));
+                        return Ok(FVal::Const(op.apply(z, BinOp::Mul.apply(x, y))));
                     }
-                    return self.fma(*op, va, vb, vc, false, nf, out);
+                    return Ok(self.fma(*op, va, vb, vc, false, nf, out));
                 }
-                self.bin(*op, l, r, nf, out)
+                self.bin(*op, l, r, nf, out)?
             }
-            SExpr::Bin(op, l, r) => self.bin(*op, l, r, nf, out),
-        }
+            ScalarExpr::Bin(op, l, r) => self.bin(*op, l, r, nf, out)?,
+        })
     }
 
-    fn bin(&mut self, op: BinOp, l: &SExpr, r: &SExpr, nf: &mut u32, out: &mut Vec<Node>) -> FVal {
-        let vl = self.expr(l, nf, out);
-        let vr = self.expr(r, nf, out);
+    fn bin(
+        &mut self,
+        op: BinOp,
+        l: &ScalarExpr,
+        r: &ScalarExpr,
+        nf: &mut u32,
+        out: &mut Vec<Node>,
+    ) -> Result<FVal, ExecError> {
+        let vl = self.expr(l, nf, out)?;
+        let vr = self.expr(r, nf, out)?;
         if let (FVal::Const(a), FVal::Const(b)) = (vl, vr) {
-            return FVal::Const(op.apply(a, b));
+            return Ok(FVal::Const(op.apply(a, b)));
         }
         let a = self.materialize(vl, nf, out);
         let b = self.materialize(vr, nf, out);
         let dst = self.freg(nf);
         out.push(Node::I(Instr::FBin { op, dst, a, b }));
-        FVal::Reg(dst)
+        Ok(FVal::Reg(dst))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -885,12 +1085,12 @@ impl<'a> Lower<'a> {
                 w.insert(*dst);
             }
             Instr::Stage { .. } => {
-                w.insert(self.tape.sr_slot as u32);
-                w.insert(self.tape.sc_slot as u32);
+                w.insert(SR_SLOT as u32);
+                w.insert(SC_SLOT as u32);
             }
             Instr::Move { .. } => {
-                w.insert(self.tape.gr_slot as u32);
-                w.insert(self.tape.gc_slot as u32);
+                w.insert(GR_SLOT as u32);
+                w.insert(GC_SLOT as u32);
             }
             _ => {}
         }
@@ -1158,18 +1358,22 @@ impl Lane {
 /// column-major global — the coalesced pattern — becomes a slice copy),
 /// run uniform-address register-tile traffic as contiguous vector ops,
 /// and test uniform loop bounds on lane 0 only.
-fn mark_lanes(code: &mut [Instr], units: &[SlotExpr], n_slots: usize, tape: &Tape) -> Vec<Lane> {
-    let (bx, by) = tape.block;
+fn mark_lanes(
+    code: &mut [Instr],
+    units: &[SlotExpr],
+    n_slots: usize,
+    (bx, by): (i64, i64),
+    binds: &[(usize, Builtin)],
+) -> Vec<Lane> {
     let mut cls = vec![Lane::Unknown; n_slots];
     let tx_seed = Lane::Aff(i64::from(bx > 1), 0);
     let ty_seed = Lane::Aff(0, i64::from(by > 1));
-    cls[tape.tx_slot] = tx_seed;
-    cls[tape.ty_slot] = ty_seed;
-    cls[tape.sr_slot] = Lane::Bot;
-    cls[tape.sc_slot] = Lane::Bot;
-    cls[tape.gr_slot] = Lane::Bot;
-    cls[tape.gc_slot] = Lane::Bot;
-    for &(slot, b) in &tape.binds {
+    cls[TX_SLOT] = tx_seed;
+    cls[TY_SLOT] = ty_seed;
+    for s in [SR_SLOT, SC_SLOT, GR_SLOT, GC_SLOT] {
+        cls[s] = Lane::Bot;
+    }
+    for &(slot, b) in binds {
         match b {
             Builtin::ThreadX => cls[slot] = tx_seed,
             Builtin::ThreadY => cls[slot] = ty_seed,
@@ -1297,24 +1501,98 @@ fn mark_lanes(code: &mut [Instr], units: &[SlotExpr], n_slots: usize, tape: &Tap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oa_loopir::builder::gemm_nn_like;
+    use crate::exec::exec_program;
+    use crate::native::NativeProgram;
+    use oa_loopir::builder::{gemm_nn_like, trmm_ll_like};
+    use oa_loopir::interp::{alloc_buffers, Buffers};
     use oa_loopir::transform::{loop_tiling, reg_alloc, sm_alloc, thread_grouping, TileParams};
 
-    fn lowered_gemm() -> (Program, Bindings) {
-        let mut p = gemm_nn_like("g");
-        let params = TileParams {
+    fn params() -> TileParams {
+        TileParams {
             ty: 8,
             tx: 8,
             thr_i: 4,
             thr_j: 4,
             kb: 4,
             unroll: 0,
-        };
-        thread_grouping(&mut p, "Li", "Lj", params).unwrap();
+        }
+    }
+
+    fn lowered_gemm() -> (Program, Bindings) {
+        let mut p = gemm_nn_like("g");
+        thread_grouping(&mut p, "Li", "Lj", params()).unwrap();
         loop_tiling(&mut p, "Lii", "Ljj", "Lk").unwrap();
         sm_alloc(&mut p, "B", oa_loopir::AllocMode::Transpose).unwrap();
         reg_alloc(&mut p, "C").unwrap();
         (p, Bindings::square(32))
+    }
+
+    fn bits(bufs: &Buffers) -> Vec<(String, Vec<u32>)> {
+        let mut out: Vec<_> = bufs
+            .iter()
+            .map(|(name, m)| (name.clone(), m.data.iter().map(|v| v.to_bits()).collect()))
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Lower `p` for both compiled engines (bytecode, and native regions
+    /// over that bytecode) and check each bit-exact against the oracle on
+    /// fresh buffers.
+    fn assert_bit_identical(p: &Program, n: i64, seed: u64) {
+        let b = Bindings::square(n);
+        let mut oracle = alloc_buffers(p, &b, seed);
+        exec_program(p, &b, &mut oracle).expect("oracle exec");
+        let mut via_bytecode = alloc_buffers(p, &b, seed);
+        let bc = ByteCode::compile(p, &b).expect("bytecode compile");
+        bc.execute(&mut via_bytecode).expect("bytecode exec");
+        assert_eq!(bits(&oracle), bits(&via_bytecode), "bytecode");
+        let native = NativeProgram::compile(p, &b).expect("native compile");
+        let mut via_native = alloc_buffers(p, &b, seed);
+        native.execute(&mut via_native).expect("native exec");
+        assert_eq!(bits(&oracle), bits(&via_native), "native");
+    }
+
+    #[test]
+    fn gemm_full_scheme_bit_identical() {
+        let (p, _) = lowered_gemm();
+        assert_bit_identical(&p, 16, 3);
+        assert_bit_identical(&p, 32, 7);
+        assert_bit_identical(&p, 19, 23); // ragged
+    }
+
+    #[test]
+    fn trmm_scheme_bit_identical() {
+        let mut p = trmm_ll_like("t");
+        thread_grouping(&mut p, "Li", "Lj", params()).unwrap();
+        loop_tiling(&mut p, "Lii", "Ljj", "Lk").unwrap();
+        oa_loopir::transform::peel_triangular(&mut p, "A").unwrap();
+        assert_bit_identical(&p, 16, 5);
+        assert_bit_identical(&p, 24, 9);
+    }
+
+    #[test]
+    fn grouping_only_bit_identical() {
+        let mut p = gemm_nn_like("g");
+        thread_grouping(&mut p, "Li", "Lj", params()).unwrap();
+        assert_bit_identical(&p, 19, 23);
+    }
+
+    #[test]
+    fn repeated_execution_is_deterministic() {
+        let (p, b) = lowered_gemm();
+        // Two compilations of the same program give the same bytecode, and
+        // one lowered program run twice gives the same output.
+        assert_eq!(
+            ByteCode::compile(&p, &b).unwrap().disasm(),
+            ByteCode::compile(&p, &b).unwrap().disasm()
+        );
+        let native = NativeProgram::compile(&p, &b).unwrap();
+        let mut first = alloc_buffers(&p, &b, 1);
+        native.execute(&mut first).unwrap();
+        let mut second = alloc_buffers(&p, &b, 1);
+        native.execute(&mut second).unwrap();
+        assert_eq!(first["C"].data, second["C"].data);
     }
 
     #[test]
@@ -1335,21 +1613,26 @@ mod tests {
     fn optimizer_strength_reduces_inner_addresses() {
         let (p, b) = lowered_gemm();
         let bc = ByteCode::compile(&p, &b).expect("lowers");
-        // Hoisting/strength reduction allocate cache slots beyond the
-        // tape's own count; a strength-reduced address shows up as a
-        // StepAdd whose destination is such a cache slot (loop-variable
-        // steps always target tape slots), and a hoisted unit as an Eval.
-        let tape = Tape::compile(&p, &b).unwrap();
-        let n_tape = tape.n_slots as u32;
-        assert!(
-            bc.n_slots > tape.n_slots,
-            "expected cache slots to be allocated by hoisting/strength reduction"
-        );
-        assert!(bc.code.iter().any(|i| matches!(i, Instr::Eval { .. })));
-        assert!(bc
+        // Loop-variable steps target the loop's own slot; a strength-reduced
+        // address shows up as a StepAdd into a cache slot that no loop
+        // variable, special or mapped variable owns, and a hoisted unit as
+        // an Eval.
+        let owned: HashSet<u32> = bc
             .code
             .iter()
-            .any(|i| matches!(i, Instr::StepAdd { dst, .. } if *dst >= n_tape)));
+            .filter_map(|i| match i {
+                Instr::LoopInit { var, .. } => Some(*var),
+                _ => None,
+            })
+            .chain((0..SPECIALS.len() as u32).chain(bc.binds.iter().map(|&(s, _)| s as u32)))
+            .collect();
+        assert!(bc.code.iter().any(|i| matches!(i, Instr::Eval { .. })));
+        assert!(
+            bc.code
+                .iter()
+                .any(|i| matches!(i, Instr::StepAdd { dst, .. } if !owned.contains(dst))),
+            "expected a strength-reduced address advance"
+        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! 1. **oracle** — the tree-walking reference executor
 //!    ([`exec_program`](crate::exec::exec_program));
-//! 2. **bytecode** — the program lowered through the slot-resolved tape IR
-//!    ([`Tape`](crate::tape::Tape)) to optimized linear bytecode and run
-//!    on the lane-vectorized interpreter ([`ByteCode`]);
+//! 2. **bytecode** — the program lowered in one pass, names resolved to
+//!    frame slots, to optimized linear bytecode and run on the
+//!    lane-vectorized interpreter ([`ByteCode`]);
 //! 3. **native** — the bytecode further lowered to specialized host
 //!    microkernels for its lane-affine inner loop nests, falling back to
 //!    the interpreter everywhere else ([`NativeProgram`]).

@@ -12,6 +12,8 @@ use oa_loopir::transform::GroupingStyle;
 use oa_loopir::Program;
 use std::fmt;
 
+use crate::exec::has_barrier;
+
 /// Which CUDA builtin a mapped loop variable binds to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Builtin {
@@ -79,21 +81,6 @@ impl fmt::Display for LaunchError {
 }
 
 impl std::error::Error for LaunchError {}
-
-/// Does this subtree contain a cooperative barrier (`__syncthreads()` or a
-/// shared-memory stage, which barriers on both sides)?
-fn contains_barrier(s: &Stmt) -> bool {
-    match s {
-        Stmt::Sync | Stmt::Stage(_) => true,
-        Stmt::Loop(l) => l.body.iter().any(contains_barrier),
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => then_body.iter().any(contains_barrier) || else_body.iter().any(contains_barrier),
-        Stmt::Assign(_) | Stmt::RegLoad(_) | Stmt::RegZero(_) | Stmt::RegStore(_) => false,
-    }
-}
 
 /// Extract the launch configuration of a transformed program under
 /// concrete size bindings.
@@ -188,7 +175,7 @@ pub fn extract_launch(p: &Program, bindings: &Bindings) -> Result<Launch, Launch
     if p.tiling
         .as_ref()
         .is_some_and(|t| t.style == GroupingStyle::Solver1D)
-        && cursor.iter().any(contains_barrier)
+        && cursor.iter().any(has_barrier)
     {
         if let Some((param, multiple)) = &block_tile {
             let size = bindings.size(param);

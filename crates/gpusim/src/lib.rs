@@ -9,11 +9,10 @@
 //!   transformed loop nest (the nvcc stand-in);
 //! * [`exec`] — a functional, barrier-stepped executor used as the
 //!   correctness oracle for final kernels;
-//! * [`tape`] — the lowering IR: a program compiled once into a
-//!   slot-resolved kernel tape (no executor of its own);
-//! * [`bytecode`] / [`vexec`] — the tape lowered to an optimized flat
-//!   bytecode (constant folding, invariant hoisting, strength reduction,
-//!   FMA fusion) and run block-parallel on a lane-vectorized interpreter;
+//! * [`bytecode`] / [`vexec`] — the one lowering pass: a program compiled
+//!   once, names resolved to frame slots, into an optimized flat bytecode
+//!   (constant folding, invariant hoisting, strength reduction, FMA
+//!   fusion) and run block-parallel on a lane-vectorized interpreter;
 //! * [`native`] — the fastest path: the bytecode's lane-affine inner
 //!   loop nests pattern-matched at compile time and executed through
 //!   specialized host SIMD microkernels, interpreter fallback elsewhere;
@@ -44,7 +43,6 @@ pub mod launch;
 pub mod native;
 pub mod perf;
 pub mod profile;
-pub mod tape;
 pub mod vexec;
 
 pub use bytecode::ByteCode;

@@ -1,4 +1,5 @@
-//! Native microkernel engine: the fourth execution tier.
+//! Native microkernel engine: the third execution tier, after the oracle
+//! and the bytecode interpreter.
 //!
 //! The bytecode interpreter (`vexec`) still pays per-[`Instr`] dispatch
 //! and per-lane address arithmetic inside the register-tile inner loop —
@@ -71,9 +72,8 @@ use oa_loopir::slots::SlotExpr;
 use oa_loopir::stmt::{stage_src_coords, AssignOp};
 use oa_loopir::{CmpOp, Program};
 
-use crate::bytecode::{AOp, ByteCode, Instr, Lane};
+use crate::bytecode::{AOp, ArrRef, ByteCode, Instr, Lane, SC_SLOT, SR_SLOT};
 use crate::exec::ExecError;
-use crate::tape::ArrRef;
 use crate::vexec::VBlock;
 
 /// Process-wide region entries, summed over every [`NativeProgram`] ever
@@ -1572,8 +1572,8 @@ impl VBlock<'_> {
                                 for &r in &[0, st.rows - 1] {
                                     let (gsr, gsc) =
                                         stage_src_coords(st.mode, st.src_fill, r0 + r, c0 + c);
-                                    env[bc.sr_slot] = gsr;
-                                    env[bc.sc_slot] = gsc;
+                                    env[SR_SLOT] = gsr;
+                                    env[SC_SLOT] = gsc;
                                     if !sp.eval(&env, true, self.blank_flags) {
                                         full = false;
                                         break 'corner;
@@ -1593,8 +1593,8 @@ impl VBlock<'_> {
                                 for r in 0..st.rows {
                                     let (gsr, gsc) =
                                         stage_src_coords(st.mode, st.src_fill, r0 + r, c0 + c);
-                                    env[bc.sr_slot] = gsr;
-                                    env[bc.sc_slot] = gsc;
+                                    env[SR_SLOT] = gsr;
+                                    env[SC_SLOT] = gsc;
                                     if sp.eval(&env, true, self.blank_flags) {
                                         trace[base + e / 64] |= 1i64 << (e % 64);
                                     }
@@ -1610,8 +1610,8 @@ impl VBlock<'_> {
                             r0 + st.rows - 1,
                             c0 + st.cols - 1,
                         );
-                        env[bc.sr_slot] = gsr;
-                        env[bc.sc_slot] = gsc;
+                        env[SR_SLOT] = gsr;
+                        env[SC_SLOT] = gsc;
                         pc += 1;
                     }
                     PfOp::Guard(gix) => {
@@ -2053,8 +2053,8 @@ impl VBlock<'_> {
         // The interpreter leaves the last element's source coords in the
         // lane-0 staging slots; reproduce that exactly.
         let (gsr, gsc) = stage_src_coords(st.mode, st.src_fill, r0 + st.rows - 1, c0 + st.cols - 1);
-        self.frames[self.bc.sr_slot * n] = gsr;
-        self.frames[self.bc.sc_slot * n] = gsc;
+        self.frames[SR_SLOT * n] = gsr;
+        self.frames[SC_SLOT * n] = gsc;
     }
 
     /// Phase 3: reconstruct every integer slot the region wrote, per

@@ -48,12 +48,55 @@ use oa_loopir::slots::SlotExpr;
 use oa_loopir::stmt::{stage_src_coords, AssignOp};
 use rayon::prelude::*;
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::bytecode::{AOp, AddrClass, ByteCode, Instr};
+use crate::bytecode::{
+    AOp, AddrClass, ArrRef, ByteCode, Instr, GC_SLOT, GR_SLOT, SC_SLOT, SR_SLOT, TX_SLOT, TY_SLOT,
+};
 use crate::exec::ExecError;
 use crate::launch::Builtin;
 use crate::native::{NativeScratch, NativeTable};
-use crate::tape::{pack_key, unpack_key, ArrRef, Overlay};
+
+/// Identity-ish hasher for the packed element keys of a write overlay —
+/// the key is already well-mixed by the multiply.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("overlay keys are u64")
+    }
+    fn write_u64(&mut self, k: u64) {
+        self.0 = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A block's private global-memory write log: packed element key → final
+/// value written by this block.
+pub(crate) type Overlay = HashMap<u64, f32, BuildHasherDefault<KeyHasher>>;
+
+const COORD_BITS: u32 = 28;
+const COORD_MASK: u64 = (1 << COORD_BITS) - 1;
+
+#[inline]
+pub(crate) fn pack_key(arr: usize, r: i64, c: i64) -> u64 {
+    ((arr as u64) << (2 * COORD_BITS))
+        | ((r as u64 & COORD_MASK) << COORD_BITS)
+        | (c as u64 & COORD_MASK)
+}
+
+#[inline]
+pub(crate) fn unpack_key(k: u64) -> (usize, i64, i64) {
+    (
+        (k >> (2 * COORD_BITS)) as usize,
+        ((k >> COORD_BITS) & COORD_MASK) as i64,
+        (k & COORD_MASK) as i64,
+    )
+}
 
 /// Per-worker scratch reused across blocks and executions: all
 /// per-block state lives here, so steady-state execution allocates
@@ -183,8 +226,8 @@ impl ByteCode {
         for ty in 0..self.block.1 {
             for tx in 0..self.block.0 {
                 let lane = (tx + ty * self.block.0) as usize;
-                scratch.frames[self.tx_slot * n + lane] = tx;
-                scratch.frames[self.ty_slot * n + lane] = ty;
+                scratch.frames[TX_SLOT * n + lane] = tx;
+                scratch.frames[TY_SLOT * n + lane] = ty;
                 for &(slot, b) in &self.binds {
                     scratch.frames[slot * n + lane] = match b {
                         Builtin::BlockX => bx,
@@ -823,8 +866,8 @@ impl VBlock<'_> {
         let n = self.n;
         let r0 = self.aop(st.row0, 0);
         let c0 = self.aop(st.col0, 0);
-        let sr = self.bc.sr_slot * n;
-        let sc = self.bc.sc_slot * n;
+        let sr = SR_SLOT * n;
+        let sc = SC_SLOT * n;
         for c in 0..st.cols {
             for r in 0..st.rows {
                 // Symmetry mode reads blank-side elements from their global
@@ -852,13 +895,13 @@ impl VBlock<'_> {
     }
 
     /// Register-tile load/store nest for every active lane, mirroring the
-    /// tape's per-thread `RegMove` op (including the `__gr`/`__gc` specials
+    /// oracle's per-thread register-tile statement (including the `__gr`/`__gc` specials
     /// the guard may consult).
     fn reg_move(&mut self, ix: u32) {
         let mv = self.bc.moves[ix as usize];
         let n = self.n;
-        let grn = self.bc.gr_slot * n;
-        let gcn = self.bc.gc_slot * n;
+        let grn = GR_SLOT * n;
+        let gcn = GC_SLOT * n;
         for_active!(self, lane => {
             let r0 = self.aop(mv.row0, lane);
             let c0 = self.aop(mv.col0, lane);
@@ -964,5 +1007,16 @@ mod tests {
         let mut second = alloc_buffers(&p, &b, 1);
         bc.execute(&mut second).unwrap();
         assert_eq!(first["C"].data, second["C"].data);
+    }
+
+    #[test]
+    fn key_packing_roundtrip() {
+        for &(a, r, c) in &[
+            (0usize, 0i64, 0i64),
+            (3, 1023, 4095),
+            (7, 1 << 27, (1 << 28) - 1),
+        ] {
+            assert_eq!(unpack_key(pack_key(a, r, c)), (a, r, c));
+        }
     }
 }

@@ -601,6 +601,56 @@ fn one_shot_serve_handles_dag_lines() {
     assert_eq!(field(&bad, "class").as_str(), Some("admission/dag-ref"));
 }
 
+/// A problem size past `MAX_N` is refused as `admission/size` before
+/// any buffer is allocated — a single request when it is parsed, a DAG
+/// at admission — on the one-shot stream and the listening server
+/// alike, and the server keeps serving the next request afterwards.
+#[test]
+fn oversized_requests_are_refused_on_both_paths() {
+    let n = oa_core::dispatch::MAX_N + 1;
+    let single = format!("{{\"routine\":\"GEMM-NN\",\"n\":{n}}}");
+    let dag = format!(
+        "{{\"dag\": [{{\"id\": \"mm\", \"routine\": \"GEMM-NN\", \"a\": \"A\", \"b\": \"B\", \"c\": \"C\"}}], \"n\": {n}}}"
+    );
+    let small = "{\"routine\":\"GEMM-NN\",\"n\":16,\"seed\":3}".to_string();
+    let assert_size_refusal = |line: &str| {
+        let doc = parse(line);
+        assert_eq!(field(&doc, "status").as_str(), Some("error"), "{line}");
+        assert_eq!(
+            field(&doc, "class").as_str(),
+            Some("admission/size"),
+            "{line}"
+        );
+    };
+
+    let reg = registry();
+    let input = format!("{single}\n{dag}\n{small}\n");
+    let mut reader = BufReader::new(input.as_bytes());
+    let mut sink = SharedOut(Arc::new(Mutex::new(Vec::new())));
+    let stats = serve_stream(&reg, &mut reader, &mut sink, 2, TraceMode::Off).expect("serve");
+    assert_eq!((stats.requests, stats.ok, stats.failed), (3, 1, 2));
+    let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    let lines: Vec<_> = text.lines().collect();
+    assert_eq!(lines.len(), 3);
+    assert_size_refusal(lines[0]);
+    assert_size_refusal(lines[1]);
+    assert_eq!(field(&parse(lines[2]), "status").as_str(), Some("ok"));
+
+    let server = spawn_server(
+        Arc::new(registry()),
+        Listener::bind("127.0.0.1:0").expect("bind"),
+        config(1),
+        TraceMode::Off,
+    );
+    for line in drive(server.addr(), &[single, dag], 2) {
+        assert_size_refusal(&line);
+    }
+    let after = drive(server.addr(), &[small], 1);
+    assert_eq!(field(&parse(&after[0]), "status").as_str(), Some("ok"));
+    let stats = server.shutdown_and_join();
+    assert_eq!(stats.admitted, stats.completed);
+}
+
 /// Two threads racing to resolve the same cold `(routine, class)` key
 /// run exactly one tuning sweep: the second waits for the first's
 /// result instead of duplicating seconds of work (and instead of
