@@ -29,25 +29,27 @@ pub fn classify_gmem(cc: ComputeCapability, lanes: &[Option<i64>; WARP]) -> Gmem
             let mut ev = GmemEvent::default();
             for half in 0..2 {
                 let slice = &lanes[half * HALF_WARP..(half + 1) * HALF_WARP];
-                let active: Vec<(usize, i64)> = slice
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, a)| a.map(|w| (i, w)))
-                    .collect();
-                if active.is_empty() {
+                let active = || {
+                    slice
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, a)| a.map(|w| (i, w)))
+                };
+                let Some((i0, w0)) = active().next() else {
                     continue;
-                }
-                let base = active[0].1 - active[0].0 as i64;
-                let perfect = base % HALF_WARP as i64 == 0
-                    && active.iter().all(|(i, w)| *w == base + *i as i64);
+                };
+                let base = w0 - i0 as i64;
+                let perfect =
+                    base % HALF_WARP as i64 == 0 && active().all(|(i, w)| w == base + i as i64);
                 if perfect {
                     ev.transactions += 1;
                     ev.bytes += 64;
                     ev.coherent += 1;
                 } else {
-                    ev.transactions += active.len() as u64;
-                    ev.bytes += active.len() as u64 * 32;
-                    ev.incoherent += active.len() as u64;
+                    let count = active().count() as u64;
+                    ev.transactions += count;
+                    ev.bytes += count * 32;
+                    ev.incoherent += count;
                 }
             }
             ev
@@ -58,38 +60,37 @@ pub fn classify_gmem(cc: ComputeCapability, lanes: &[Option<i64>; WARP]) -> Gmem
             let mut ev = GmemEvent::default();
             for half in 0..2 {
                 let slice = &lanes[half * HALF_WARP..(half + 1) * HALF_WARP];
-                let mut segs: Vec<i64> = slice
-                    .iter()
-                    .flatten()
-                    .map(|w| w.div_euclid(HALF_WARP as i64))
-                    .collect();
-                if segs.is_empty() {
-                    continue;
-                }
-                segs.sort_unstable();
-                segs.dedup();
-                ev.transactions += segs.len() as u64;
-                ev.bytes += segs.len() as u64 * 64;
-                ev.coherent += segs.len() as u64;
+                let segs = distinct(slice, HALF_WARP as i64);
+                ev.transactions += segs;
+                ev.bytes += segs * 64;
+                ev.coherent += segs;
             }
             ev
         }
         ComputeCapability::Cc2_0 => {
             // Per warp: one transaction per distinct 128-byte cache line.
-            let mut lines: Vec<i64> = lanes.iter().flatten().map(|w| w.div_euclid(32)).collect();
-            if lines.is_empty() {
-                return GmemEvent::default();
-            }
-            lines.sort_unstable();
-            lines.dedup();
+            let lines = distinct(lanes, 32);
             GmemEvent {
-                transactions: lines.len() as u64,
-                bytes: lines.len() as u64 * 128,
+                transactions: lines,
+                bytes: lines * 128,
                 incoherent: 0,
-                coherent: lines.len() as u64,
+                coherent: lines,
             }
         }
     }
+}
+
+/// Number of distinct `size`-word segments the active lanes touch.
+fn distinct(lanes: &[Option<i64>], size: i64) -> u64 {
+    let mut segs = [0i64; WARP];
+    let mut n = 0;
+    for &w in lanes.iter().flatten() {
+        segs[n] = w.div_euclid(size);
+        n += 1;
+    }
+    let segs = &mut segs[..n];
+    segs.sort_unstable();
+    segs.windows(2).filter(|p| p[0] != p[1]).count() as u64 + u64::from(n > 0)
 }
 
 /// Shared-memory bank-conflict replay count for one warp access: the
@@ -101,23 +102,28 @@ pub fn smem_replays(banks: u32, lanes: &[Option<i64>; WARP]) -> u64 {
     let group = if banks <= 16 { HALF_WARP } else { WARP };
     let mut worst_total = 0u64;
     for chunk in lanes.chunks(group) {
-        let mut per_bank: std::collections::HashMap<i64, Vec<i64>> =
-            std::collections::HashMap::new();
-        for w in chunk.iter().flatten() {
-            per_bank
-                .entry(w.rem_euclid(banks as i64))
-                .or_default()
-                .push(*w);
+        // (bank, address) of every active lane, sorted: each bank's
+        // distinct addresses form one run.
+        let mut hits = [(0i64, 0i64); WARP];
+        let mut n = 0;
+        for &w in chunk.iter().flatten() {
+            hits[n] = (w.rem_euclid(banks as i64), w);
+            n += 1;
         }
-        let mut worst = 1u64;
-        for addrs in per_bank.values_mut() {
-            addrs.sort_unstable();
-            addrs.dedup();
-            worst = worst.max(addrs.len() as u64);
+        if n == 0 {
+            continue;
         }
-        if !per_bank.is_empty() {
-            worst_total += worst - 1;
+        let hits = &mut hits[..n];
+        hits.sort_unstable();
+        let (mut worst, mut run) = (1u64, 1u64);
+        for pair in hits.windows(2) {
+            if pair[1] == pair[0] {
+                continue; // same address: broadcast
+            }
+            run = if pair[1].0 == pair[0].0 { run + 1 } else { 1 };
+            worst = worst.max(run);
         }
+        worst_total += worst - 1;
     }
     worst_total
 }
