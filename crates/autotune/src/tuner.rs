@@ -969,6 +969,64 @@ mod tests {
     use crate::model::MODEL_FILE;
     use oa_blas3::types::{Side, Trans, Uplo};
 
+    /// FNV-1a over the bits of every sweep point's `gflops`, `gmem_bytes`,
+    /// `instructions` and `smem_replays` for four routines at n = 64 on all
+    /// three devices, with a marker for points that fail to translate or
+    /// evaluate.
+    const PINNED_MODEL_HASH: u64 = 0xfcce_8d0f_fc22_f37d;
+
+    #[test]
+    fn perf_model_output_bits_are_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let n = 64;
+        let bindings = Bindings::square(n);
+        let routines: Vec<RoutineId> = RoutineId::all24()
+            .into_iter()
+            .filter(|r| {
+                ["GEMM-TT", "TRMM-LL-T", "SYMM-LU", "TRSM-RU-T"].contains(&r.name().as_str())
+            })
+            .collect();
+        assert_eq!(routines.len(), 4);
+        for r in routines {
+            let (scripts, _, _) = compose_variants(select_engine(), r).unwrap();
+            let src = oa_blas3::routines::source(r);
+            let params = candidates(oa_scheme(r).solver);
+            let programs: Vec<Option<Program>> = scripts
+                .iter()
+                .flat_map(|s| params.iter().map(move |p| (s, *p)))
+                .map(|(s, p)| apply_lenient(&src, s, p).ok().map(|o| o.program))
+                .collect();
+            for device in DeviceSpec::all() {
+                for p in &programs {
+                    let Some(p) = p else {
+                        mix(1);
+                        continue;
+                    };
+                    match evaluate(p, &bindings, &device, r.flops(n), true) {
+                        Ok(rep) => {
+                            mix(rep.gflops.to_bits());
+                            mix(rep.counters.gmem_bytes.to_bits());
+                            mix(rep.counters.instructions.to_bits());
+                            mix(rep.counters.smem_replays.to_bits());
+                        }
+                        Err(_) => mix(2),
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            h, PINNED_MODEL_HASH,
+            "the performance model's output bits changed (hash {h:#018x}): a deliberate \
+             model change must update PINNED_MODEL_HASH and EXPERIMENTS.md; otherwise \
+             this is a regression"
+        );
+    }
+
     #[test]
     fn tune_gemm_nn_beats_naive_and_is_plausible() {
         let dev = DeviceSpec::gtx285();

@@ -8,15 +8,18 @@
 //! whether the winner moved (it must not: the model is order-only by
 //! contract).
 //!
-//! Prints the table and writes `BENCH_model.json`.  Full mode enforces
-//! the acceptance bar: total candidate evaluations reduced ≥ 3x with
-//! every winner bit-identical.  `--quick` (alias `--smoke`) trains on
-//! one class and tests a 6-routine family-spanning subset, with the
-//! winner check still enforced but no reduction floor.
+//! Prints the table and writes `BENCH_model.json`, with its mode, the
+//! host's `nproc`, the git revision and the wall time of each sweep.
+//! Full mode enforces the acceptance bar: total candidate evaluations
+//! reduced ≥ 3x with every winner bit-identical.  `--quick` (alias
+//! `--smoke`) trains on one class and tests a 6-routine family-spanning
+//! subset, with the winner check still enforced but no reduction floor.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
+use oa_bench::git_revision;
 use oa_core::autotune::json::Json;
 use oa_core::autotune::{
     sweep_samples, tune_fresh_modeled, CostModel, ModelCtx, ModelMode, TuneEvent, TunedKernel,
@@ -30,11 +33,14 @@ struct SweepRun {
     /// Points that actually ran translate/evaluate (points − skipped).
     attempted: usize,
     points: usize,
+    /// Wall time of the whole tune, milliseconds.
+    ms: f64,
 }
 
 fn run_sweep(r: RoutineId, device: &DeviceSpec, n: i64, ctx: &ModelCtx) -> SweepRun {
     let mut attempted = 0usize;
     let mut points = 0usize;
+    let t0 = Instant::now();
     let kernel = tune_fresh_modeled(ExecEngine::Oracle, r, device, n, ctx, &mut |e| {
         if let TuneEvent::Summary {
             points: p, skipped, ..
@@ -49,6 +55,7 @@ fn run_sweep(r: RoutineId, device: &DeviceSpec, n: i64, ctx: &ModelCtx) -> Sweep
         kernel,
         attempted,
         points,
+        ms: t0.elapsed().as_secs_f64() * 1e3,
     }
 }
 
@@ -107,6 +114,7 @@ fn main() {
     let mut total_exact = 0usize;
     let mut total_ranked = 0usize;
     let mut winners_moved = 0usize;
+    let (mut exact_ms, mut ranked_ms) = (0.0, 0.0);
     for &r in &test_routines {
         let exact = run_sweep(r, &device, test_class, &ModelCtx::off());
         let ranked = run_sweep(
@@ -133,6 +141,8 @@ fn main() {
         );
         total_exact += exact.attempted;
         total_ranked += ranked.attempted;
+        exact_ms += exact.ms;
+        ranked_ms += ranked.ms;
         rows.push(Json::Obj(BTreeMap::from([
             ("routine".to_string(), Json::Str(r.name())),
             ("points".to_string(), Json::Int(exact.points as i64)),
@@ -143,6 +153,8 @@ fn main() {
             ),
             ("reduction".to_string(), Json::Num(reduction)),
             ("gflops".to_string(), Json::Num(ranked.kernel.report.gflops)),
+            ("exact_ms".to_string(), Json::Num(exact.ms)),
+            ("ranked_ms".to_string(), Json::Num(ranked.ms)),
             ("winner_unchanged".to_string(), Json::Bool(same)),
         ])));
     }
@@ -150,7 +162,8 @@ fn main() {
     let reduction = total_exact as f64 / total_ranked.max(1) as f64;
     println!(
         "  total: {total_exact} exact evals vs {total_ranked} ranked evals — \
-         {reduction:.1}x fewer, {winners_moved} winner(s) moved"
+         {reduction:.1}x fewer, {winners_moved} winner(s) moved; \
+         sweeps took {exact_ms:.0} ms exact vs {ranked_ms:.0} ms ranked"
     );
 
     let doc = Json::Obj(BTreeMap::from([
@@ -168,6 +181,17 @@ fn main() {
             "train_classes".to_string(),
             Json::Arr(train_classes.iter().map(|&n| Json::Int(n)).collect()),
         ),
+        (
+            "mode".to_string(),
+            Json::Str(if quick { "smoke" } else { "full" }.to_string()),
+        ),
+        (
+            "nproc".to_string(),
+            Json::Int(std::thread::available_parallelism().map_or(1, |p| p.get()) as i64),
+        ),
+        ("git_rev".to_string(), Json::Str(git_revision())),
+        ("exact_ms".to_string(), Json::Num(exact_ms)),
+        ("ranked_ms".to_string(), Json::Num(ranked_ms)),
         ("test_class".to_string(), Json::Int(test_class)),
         ("train_samples".to_string(), Json::Int(samples.len() as i64)),
         ("safety".to_string(), Json::Num(model.safety)),

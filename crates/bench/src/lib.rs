@@ -52,6 +52,32 @@ pub fn cache_path() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("tuning_cache.json"))
 }
 
+/// The checkout's `git rev-parse --short HEAD`, suffixed `-dirty` when
+/// tracked files have uncommitted changes; `"unknown"` outside a git
+/// checkout.  Bench artifacts record it as provenance.
+pub fn git_revision() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(rev) if !rev.is_empty() => {
+            let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|s| !s.is_empty());
+            if dirty {
+                format!("{rev}-dirty")
+            } else {
+                rev
+            }
+        }
+        _ => "unknown".to_string(),
+    }
+}
+
 /// `--quick` flag from argv.
 pub fn quick_flag() -> bool {
     std::env::args().any(|a| a == "--quick")

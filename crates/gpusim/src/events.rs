@@ -137,7 +137,18 @@ pub fn record_gmem(
     is_store: bool,
     weight: f64,
 ) {
-    let ev = classify_gmem(cc, lanes);
+    apply_gmem(counters, cc, classify_gmem(cc, lanes), is_store, weight);
+}
+
+/// Accumulate an already classified global access into counters (the
+/// second half of [`record_gmem`]).
+pub fn apply_gmem(
+    counters: &mut ProfileCounters,
+    cc: ComputeCapability,
+    ev: GmemEvent,
+    is_store: bool,
+    weight: f64,
+) {
     if ev.transactions == 0 {
         return;
     }
@@ -261,6 +272,58 @@ mod tests {
     fn bank_conflicts_32_banks() {
         assert_eq!(smem_replays(32, &strided_lanes(0, 32)), 31);
         assert_eq!(smem_replays(32, &strided_lanes(0, 33)), 0);
+    }
+
+    /// The performance model memoizes both classifications per access
+    /// site by the address modulo 32 words: shifting every active lane by
+    /// `32·k` words must change neither (segments are 16 or 32 words, and
+    /// there are 16 or 32 banks).
+    #[test]
+    fn events_invariant_under_32_word_shifts() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        let ccs = [
+            ComputeCapability::Cc1_0,
+            ComputeCapability::Cc1_3,
+            ComputeCapability::Cc2_0,
+        ];
+        for _ in 0..20_000 {
+            // Mostly strided patterns (coalesced, padded, conflicting,
+            // broadcast), some scattered, over random masks.
+            let base = (next() % 4096) as i64 - 2048;
+            let stride = [0, 1, 2, 15, 16, 17, 31, 32, 33, 64][(next() % 10) as usize];
+            let scattered = next() % 4 == 0;
+            let mask = match next() % 3 {
+                0 => u32::MAX,
+                1 => u32::MAX >> (next() % 32),
+                _ => next() as u32,
+            };
+            let lanes: [Option<i64>; WARP] = std::array::from_fn(|i| {
+                let jitter = if scattered { (next() % 96) as i64 } else { 0 };
+                (mask >> i & 1 == 1).then_some(base + i as i64 * stride + jitter)
+            });
+            let k = (next() % 200) as i64 - 100;
+            let shifted = lanes.map(|w| w.map(|w| w + 32 * k));
+            for cc in ccs {
+                assert_eq!(
+                    classify_gmem(cc, &lanes),
+                    classify_gmem(cc, &shifted),
+                    "{cc:?} {lanes:?} shifted by 32·{k}"
+                );
+            }
+            for banks in [16, 32] {
+                assert_eq!(
+                    smem_replays(banks, &lanes),
+                    smem_replays(banks, &shifted),
+                    "{banks} banks {lanes:?} shifted by 32·{k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,12 +26,12 @@ use oa_loopir::interp::Bindings;
 use oa_loopir::scalar::ScalarExpr;
 use oa_loopir::stmt::{AssignOp, SharedStage, Stmt};
 use oa_loopir::Program;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use crate::device::{DeviceSpec, WARP};
-use crate::events::{record_gmem, smem_replays};
+use crate::events::{apply_gmem, classify_gmem, record_gmem, smem_replays, GmemEvent};
 use crate::launch::{
-    estimate_regs_per_thread, extract_launch, smem_bytes_per_block, Launch, LaunchError,
+    estimate_regs_per_thread, extract_launch, smem_bytes_per_block, Builtin, Launch, LaunchError,
 };
 use crate::profile::ProfileCounters;
 
@@ -228,20 +228,54 @@ fn prologue_cost(p: &Program, bindings: &Bindings, device: &DeviceSpec) -> f64 {
 // the inner sampling loops avoid string lookups entirely.
 // ---------------------------------------------------------------------------
 
+/// An affine expression split by how it varies across a warp.  Only the
+/// thread indices differ between the lanes of one walked warp (loop
+/// variables are warp-uniform and the block indices are fixed per walk), so
+/// every expression is a uniform part over the walker's environment plus a
+/// lane part `lane.0·tx + lane.1·ty`.
 #[derive(Clone, Debug, Default)]
 struct CExpr {
+    /// Warp-uniform variable terms (environment index, coefficient).
     terms: Vec<(usize, i64)>,
     cst: i64,
+    /// Coefficients of the lane's thread indices `(tx, ty)`.
+    lane: (i64, i64),
 }
 
 impl CExpr {
+    /// The warp-uniform part.
     #[inline]
-    fn eval(&self, env: &[i64]) -> i64 {
+    fn uniform(&self, env: &[i64]) -> i64 {
         let mut acc = self.cst;
         for &(v, c) in &self.terms {
             acc += c * env[v];
         }
         acc
+    }
+
+    /// The lane part at thread indices `(tx, ty)`.
+    #[inline]
+    fn lane_offset(&self, (tx, ty): (i64, i64)) -> i64 {
+        self.lane.0 * tx + self.lane.1 * ty
+    }
+
+    fn is_uniform(&self) -> bool {
+        self.lane == (0, 0)
+    }
+
+    /// `self + other·k`, merging terms.
+    fn add_scaled(mut self, other: &CExpr, k: i64) -> CExpr {
+        self.cst += other.cst * k;
+        self.lane.0 += other.lane.0 * k;
+        self.lane.1 += other.lane.1 * k;
+        for &(v, c) in &other.terms {
+            if let Some(t) = self.terms.iter_mut().find(|(tv, _)| *tv == v) {
+                t.1 += c * k;
+            } else {
+                self.terms.push((v, c * k));
+            }
+        }
+        self
     }
 }
 
@@ -323,11 +357,8 @@ struct Compiled {
     nvars: usize,
     nsites: usize,
     smem_load_cost: f64,
-    /// Indices of the two builtin thread-id variables.
-    tx_var: usize,
-    ty_var: usize,
-    /// Bind variables: (env index, builtin).
-    binds: Vec<(usize, crate::launch::Builtin)>,
+    /// Block-index bind variables: (env index, `true` for `BlockY`).
+    block_binds: Vec<(usize, bool)>,
 }
 
 struct Compiler<'a> {
@@ -345,9 +376,9 @@ struct Compiler<'a> {
     gbase: HashMap<String, i64>,
     /// Word base offset of each shared array (separate space).
     sbase: HashMap<String, i64>,
-    binds: Vec<(usize, crate::launch::Builtin)>,
-    tx_var: usize,
-    ty_var: usize,
+    block_binds: Vec<(usize, bool)>,
+    /// Variables holding a thread index: (env index, `true` for `ty`).
+    lane_vars: Vec<(usize, bool)>,
     sites: usize,
     /// Known inclusive value ranges of in-scope iteration variables, used
     /// for guard specialization (nvcc-style "fulltile" kernels: guards
@@ -376,9 +407,8 @@ impl<'a> Compiler<'a> {
             var_map: HashMap::new(),
             gbase: HashMap::new(),
             sbase: HashMap::new(),
-            binds: Vec::new(),
-            tx_var: 0,
-            ty_var: 0,
+            block_binds: Vec::new(),
+            lane_vars: Vec::new(),
             sites: 0,
             ranges: HashMap::new(),
         };
@@ -402,21 +432,33 @@ impl<'a> Compiler<'a> {
                 MemSpace::Reg => {}
             }
         }
-        c.tx_var = c.var_idx("__tx");
-        c.ty_var = c.var_idx("__ty");
-        c.ranges.insert(c.tx_var, (0, launch.block.0 - 1));
-        c.ranges.insert(c.ty_var, (0, launch.block.1 - 1));
+        let tx_var = c.var_idx("__tx");
+        let ty_var = c.var_idx("__ty");
+        c.ranges.insert(tx_var, (0, launch.block.0 - 1));
+        c.ranges.insert(ty_var, (0, launch.block.1 - 1));
+        c.lane_vars = vec![(tx_var, false), (ty_var, true)];
         for (v, b) in &launch.binds {
             c.scope.push(v.clone());
             let idx = c.var_idx(v);
             let hi = match b {
-                crate::launch::Builtin::BlockX => launch.grid.0,
-                crate::launch::Builtin::BlockY => launch.grid.1,
-                crate::launch::Builtin::ThreadX => launch.block.0,
-                crate::launch::Builtin::ThreadY => launch.block.1,
+                Builtin::BlockX => {
+                    c.block_binds.push((idx, false));
+                    launch.grid.0
+                }
+                Builtin::BlockY => {
+                    c.block_binds.push((idx, true));
+                    launch.grid.1
+                }
+                Builtin::ThreadX => {
+                    c.lane_vars.push((idx, false));
+                    launch.block.0
+                }
+                Builtin::ThreadY => {
+                    c.lane_vars.push((idx, true));
+                    launch.block.1
+                }
             };
             c.ranges.insert(idx, (0, hi - 1));
-            c.binds.push((idx, *b));
         }
         c.scope.push("__tx".into());
         c.scope.push("__ty".into());
@@ -440,9 +482,7 @@ impl<'a> Compiler<'a> {
             nvars: self.vars.len(),
             nsites: self.sites,
             smem_load_cost: self.smem_load_cost,
-            tx_var: self.tx_var,
-            ty_var: self.ty_var,
-            binds: self.binds.clone(),
+            block_binds: self.block_binds,
         }
     }
 
@@ -505,13 +545,17 @@ impl<'a> Compiler<'a> {
 
     fn cexpr(&mut self, e: &AffineExpr) -> CExpr {
         let mut out = CExpr {
-            terms: Vec::new(),
             cst: e.constant(),
+            ..CExpr::default()
         };
         for (v, coeff) in e.terms() {
             if self.scope.iter().any(|s| s == v) {
                 let idx = self.var_idx(v);
-                out.terms.push((idx, coeff));
+                match self.lane_vars.iter().find(|(i, _)| *i == idx) {
+                    Some((_, false)) => out.lane.0 += coeff,
+                    Some((_, true)) => out.lane.1 += coeff,
+                    None => out.terms.push((idx, coeff)),
+                }
             } else {
                 out.cst += coeff * self.program.resolve(v, self.bindings);
             }
@@ -554,6 +598,16 @@ impl<'a> Compiler<'a> {
             .unwrap_or(1)
     }
 
+    /// Column-major word address `base + row + col·ld` of an element of
+    /// `array`.
+    fn word(&mut self, base: i64, array: &str, row: &AffineExpr, col: &AffineExpr) -> CExpr {
+        let ld = self.ld_of(array);
+        let mut word = self.cexpr(row);
+        word.cst += base;
+        let col = self.cexpr(col);
+        word.add_scaled(&col, ld)
+    }
+
     fn access_word(&mut self, acc: &oa_loopir::Access) -> Option<CAccess> {
         let space = self
             .program
@@ -565,21 +619,7 @@ impl<'a> Compiler<'a> {
             MemSpace::Shared => (CSpace::Shared, *self.sbase.get(&acc.array).unwrap_or(&0)),
             MemSpace::Reg => return None,
         };
-        let ld = self.ld_of(&acc.array);
-        let row = self.cexpr(&acc.row);
-        let col = self.cexpr(&acc.col);
-        // word = base + row + col*ld
-        let mut word = CExpr {
-            terms: row.terms.clone(),
-            cst: base + row.cst + col.cst * ld,
-        };
-        for (v, c) in col.terms {
-            if let Some(t) = word.terms.iter_mut().find(|(tv, _)| *tv == v) {
-                t.1 += c * ld;
-            } else {
-                word.terms.push((v, c * ld));
-            }
-        }
+        let word = self.word(base, &acc.array, &acc.row, &acc.col);
         let site = self.sites;
         self.sites += 1;
         Some(CAccess {
@@ -685,7 +725,6 @@ impl<'a> Compiler<'a> {
             Stmt::Stage(st) => self.compile_stage(st),
             Stmt::RegLoad(rt) | Stmt::RegStore(rt) => {
                 let is_store = matches!(s, Stmt::RegStore(_));
-                let ld = self.ld_of(&rt.global);
                 let base = *self.gbase.get(&rt.global).unwrap_or(&0);
                 let mut elems = Vec::new();
                 for c in 0..rt.cols {
@@ -694,20 +733,7 @@ impl<'a> Compiler<'a> {
                         let col = rt.col0.add_const(c * rt.col_stride);
                         let guard = rt.guard.subst("__gr", &row).subst("__gc", &col);
                         let cg = self.cpred(&guard).unwrap_or_default();
-                        let crow = self.cexpr(&row);
-                        let ccol = self.cexpr(&col);
-                        let mut word = CExpr {
-                            terms: crow.terms.clone(),
-                            cst: base + crow.cst + ccol.cst * ld,
-                        };
-                        for (v, cf) in ccol.terms {
-                            if let Some(t) = word.terms.iter_mut().find(|(tv, _)| *tv == v) {
-                                t.1 += cf * ld;
-                            } else {
-                                word.terms.push((v, cf * ld));
-                            }
-                        }
-                        elems.push((cg, word));
+                        elems.push((cg, self.word(base, &rt.global, &row, &col)));
                     }
                 }
                 CStmt::RegXfer { elems, is_store }
@@ -779,22 +805,84 @@ fn arith_cost(rhs: &ScalarExpr, op: AssignOp) -> (f64, f64) {
 const ITER_SAMPLE_THRESHOLD: i64 = 16;
 const ITER_SAMPLES: i64 = 8;
 
+/// One bit per lane of the walked warp.
+type LaneMask = u32;
+
+/// One access site's event memo: `(mask, uniform part mod 32, count)`.
+type EventMemo<T> = Vec<(LaneMask, i64, T)>;
+
+/// The lanes set in `mask`, lowest first.
+fn lanes_of(mut mask: LaneMask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// The word addresses of `e` on the lanes of `mask`, given its uniform
+/// part `u`.
+fn lane_addrs(
+    lanes: &[(i64, i64); WARP],
+    e: &CExpr,
+    u: i64,
+    mask: LaneMask,
+) -> [Option<i64>; WARP] {
+    let mut out = [None; WARP];
+    for lane in lanes_of(mask) {
+        out[lane] = Some(u + e.lane_offset(lanes[lane]));
+    }
+    out
+}
+
+/// Look `(mask, u mod 32)` up in `memo`, computing and recording it on a
+/// miss.
+fn memoized<T: Copy>(
+    memo: &mut EventMemo<T>,
+    mask: LaneMask,
+    u: i64,
+    compute: impl FnOnce() -> T,
+) -> T {
+    let r = u.rem_euclid(WARP as i64);
+    if let Some(&(_, _, t)) = memo.iter().find(|(m, k, _)| *m == mask && *k == r) {
+        return t;
+    }
+    let t = compute();
+    memo.push((mask, r, t));
+    t
+}
+
+/// Walks one warp of one block.  An expression's uniform part is computed
+/// once per visit; only its lane part (fixed per walker) varies by lane.
 struct Walker<'a> {
     device: &'a DeviceSpec,
     compiled: &'a Compiled,
     counters: ProfileCounters,
-    /// Register-reuse memo: the last few lane-address vectors seen at each
-    /// load site.  A repeated vector models the value being kept in a
-    /// register by the compiler (LICM / unroll-and-jam reuse), so neither
-    /// an instruction nor a memory transaction is charged.
-    memo: Vec<std::collections::VecDeque<[Option<i64>; WARP]>>,
-    /// Per-lane environments, `nvars` values each.
+    /// Register-reuse memo: the last few `(active mask, uniform part)`
+    /// keys seen at each load site.  A site's lane offsets are fixed within
+    /// one walker, so a repeated key is a repeated lane-address vector: the
+    /// value is kept in a register by the compiler (LICM / unroll-and-jam
+    /// reuse), so neither an instruction nor a memory transaction is
+    /// charged.
+    reuse: Vec<VecDeque<(LaneMask, i64)>>,
+    /// Per-site coalescing and bank-conflict memos keyed by `(mask,
+    /// uniform part mod 32)`: shifting every lane by a multiple of 32 words
+    /// changes neither the count of 16- or 32-word segments touched nor the
+    /// conflicts over 16 or 32 banks.
+    gmem_memo: Vec<EventMemo<GmemEvent>>,
+    smem_memo: Vec<EventMemo<u64>>,
+    /// The warp-uniform environment, `nvars` values.
     env: Vec<i64>,
-    active: [bool; WARP],
+    /// Thread indices `(tx, ty)` of each lane.
+    lanes: [(i64, i64); WARP],
+    active: LaneMask,
+    /// The lane owning thread (0, 0), if any (`thread0_only` guards).
+    thread0: LaneMask,
     weight: f64,
     threads_per_block: i64,
     warp_index: i64,
-    warps_per_block: i64,
 }
 
 impl<'a> Walker<'a> {
@@ -806,81 +894,89 @@ impl<'a> Walker<'a> {
         by: i64,
         warp: i64,
     ) -> Self {
-        let n = compiled.nvars;
+        // The event memos' `mod 32` key needs the bank count to divide 32.
+        debug_assert_eq!(WARP as u32 % device.smem_banks, 0);
         let threads = launch.threads_per_block();
-        let mut env = vec![0i64; n * WARP];
-        let mut active = [false; WARP];
-        for (lane, live) in active.iter_mut().enumerate() {
+        let mut env = vec![0i64; compiled.nvars];
+        for &(idx, is_y) in &compiled.block_binds {
+            env[idx] = if is_y { by } else { bx };
+        }
+        let mut lanes = [(0, 0); WARP];
+        let (mut active, mut thread0) = (0, 0);
+        for (lane, slot) in lanes.iter_mut().enumerate() {
             let tid = warp * WARP as i64 + lane as i64;
             if tid >= threads {
                 continue;
             }
-            *live = true;
-            let tx = tid % launch.block.0;
-            let ty = tid / launch.block.0;
-            let base = lane * n;
-            env[base + compiled.tx_var] = tx;
-            env[base + compiled.ty_var] = ty;
-            for (idx, b) in &compiled.binds {
-                let v = match b {
-                    crate::launch::Builtin::BlockX => bx,
-                    crate::launch::Builtin::BlockY => by,
-                    crate::launch::Builtin::ThreadX => tx,
-                    crate::launch::Builtin::ThreadY => ty,
-                };
-                env[base + idx] = v;
+            active |= 1 << lane;
+            *slot = (tid % launch.block.0, tid / launch.block.0);
+            if *slot == (0, 0) {
+                thread0 |= 1 << lane;
             }
         }
         Walker {
             device,
             compiled,
             counters: ProfileCounters::default(),
-            memo: vec![std::collections::VecDeque::with_capacity(8); compiled.nsites],
+            reuse: vec![VecDeque::new(); compiled.nsites],
+            gmem_memo: vec![Vec::new(); compiled.nsites],
+            smem_memo: vec![Vec::new(); compiled.nsites],
             env,
+            lanes,
             active,
+            thread0,
             weight: 1.0,
             threads_per_block: threads,
             warp_index: warp,
-            warps_per_block: (threads + WARP as i64 - 1) / WARP as i64,
         }
     }
 
-    #[inline]
-    fn lane_env(&self, lane: usize) -> &[i64] {
-        let n = self.compiled.nvars;
-        &self.env[lane * n..(lane + 1) * n]
+    /// `e` on one lane.
+    fn at_lane(&self, e: &CExpr, lane: usize) -> i64 {
+        e.uniform(&self.env) + e.lane_offset(self.lanes[lane])
     }
 
-    fn set_var_all(&mut self, var: usize, v: i64) {
-        let n = self.compiled.nvars;
-        for lane in 0..WARP {
-            self.env[lane * n + var] = v;
-        }
+    /// The lowest active lane (loop bounds and staging origins are uniform
+    /// across active lanes in the generated kernels).
+    fn lane0(&self) -> usize {
+        self.active.trailing_zeros() as usize
     }
 
-    fn eval_pred_lane(&self, pred: &CPred, lane: usize) -> bool {
-        let env = self.lane_env(lane);
+    /// The lanes of `mask` on which `pred` holds.  A condition's uniform
+    /// sides are computed once; a condition with no lane terms decides the
+    /// whole warp at once.
+    fn pred_mask(&self, pred: &CPred, mask: LaneMask) -> LaneMask {
+        let mut m = mask;
         if pred.thread0 {
-            let n = self.compiled.nvars;
-            let base = lane * n;
-            if self.env[base + self.compiled.tx_var] != 0
-                || self.env[base + self.compiled.ty_var] != 0
-            {
-                return false;
+            m &= self.thread0;
+        }
+        for c in &pred.conds {
+            if m == 0 {
+                break;
+            }
+            let (l, r) = (c.lhs.uniform(&self.env), c.rhs.uniform(&self.env));
+            if c.lhs.is_uniform() && c.rhs.is_uniform() {
+                if !c.op.eval(l, r) {
+                    m = 0;
+                }
+                continue;
+            }
+            for lane in lanes_of(m) {
+                let t = self.lanes[lane];
+                if !c
+                    .op
+                    .eval(l + c.lhs.lane_offset(t), r + c.rhs.lane_offset(t))
+                {
+                    m &= !(1 << lane);
+                }
             }
         }
-        pred.conds
-            .iter()
-            .all(|c| c.op.eval(c.lhs.eval(env), c.rhs.eval(env)))
-    }
-
-    fn any_active(&self) -> bool {
-        self.active.iter().any(|&a| a)
+        m
     }
 
     fn walk(&mut self, stmts: &[CStmt]) {
         for s in stmts {
-            if !self.any_active() {
+            if self.active == 0 {
                 return;
             }
             match s {
@@ -916,11 +1012,9 @@ impl<'a> Walker<'a> {
         overhead: f64,
         body: &[CStmt],
     ) {
-        // Bounds must be uniform across active lanes (guards provide the
-        // per-thread shaping in the generated kernels).
-        let lane0 = self.active.iter().position(|&a| a).expect("active lane");
-        let lo = lower.eval(self.lane_env(lane0));
-        let hi = upper.eval(self.lane_env(lane0));
+        let lane0 = self.lane0();
+        let lo = self.at_lane(lower, lane0);
+        let hi = self.at_lane(upper, lane0);
         let trip = (hi - lo).max(0);
         if trip == 0 {
             return;
@@ -928,7 +1022,7 @@ impl<'a> Walker<'a> {
         self.counters.instructions += overhead * trip as f64 * self.weight;
         if trip <= ITER_SAMPLE_THRESHOLD {
             for v in lo..hi {
-                self.set_var_all(var, v);
+                self.env[var] = v;
                 self.walk(body);
             }
         } else {
@@ -938,8 +1032,7 @@ impl<'a> Walker<'a> {
             for k in 0..ITER_SAMPLES {
                 let a = lo + k * trip / ITER_SAMPLES;
                 let b = lo + (k + 1) * trip / ITER_SAMPLES;
-                let v = (a + b - 1) / 2;
-                self.set_var_all(var, v);
+                self.env[var] = (a + b - 1) / 2;
                 self.walk(body);
             }
             self.weight = saved;
@@ -948,26 +1041,16 @@ impl<'a> Walker<'a> {
 
     fn walk_if(&mut self, pred: &CPred, then_b: &[CStmt], else_b: &[CStmt]) {
         let saved = self.active;
-        let mut then_mask = [false; WARP];
-        let mut else_mask = [false; WARP];
-        for lane in 0..WARP {
-            if !saved[lane] {
-                continue;
-            }
-            if self.eval_pred_lane(pred, lane) {
-                then_mask[lane] = true;
-            } else {
-                else_mask[lane] = true;
-            }
-        }
+        let then_mask = self.pred_mask(pred, saved);
+        let else_mask = saved & !then_mask;
         if !pred.conds.is_empty() || pred.thread0 {
             self.counters.instructions += self.weight;
         }
-        if then_mask.iter().any(|&a| a) {
+        if then_mask != 0 {
             self.active = then_mask;
             self.walk(then_b);
         }
-        if else_mask.iter().any(|&a| a) && !else_b.is_empty() {
+        if else_mask != 0 && !else_b.is_empty() {
             self.active = else_mask;
             self.walk(else_b);
         }
@@ -975,24 +1058,16 @@ impl<'a> Walker<'a> {
     }
 
     fn walk_assign(&mut self, accesses: &[CAccess], instr: f64, flops: f64) {
-        let n_active = self.active.iter().filter(|&&a| a).count();
-        if n_active == 0 {
-            return;
-        }
+        let mask = self.active;
         let mut instr = instr;
-        self.counters.flops += flops * n_active as f64 * self.weight;
+        self.counters.flops += flops * mask.count_ones() as f64 * self.weight;
         for acc in accesses {
-            let mut lanes: [Option<i64>; WARP] = [None; WARP];
-            for (lane, slot) in lanes.iter_mut().enumerate() {
-                if self.active[lane] {
-                    *slot = Some(acc.word.eval(self.lane_env(lane)));
-                }
-            }
+            let u = acc.word.uniform(&self.env);
             // Register reuse: a load whose address vector was recently seen
             // at this site stays in registers.
             if !acc.is_store {
-                let slot = &mut self.memo[acc.site];
-                if slot.iter().any(|m| *m == lanes) {
+                let slot = &mut self.reuse[acc.site];
+                if slot.contains(&(mask, u)) {
                     instr -= match acc.space {
                         CSpace::Shared => self.compiled.smem_load_cost,
                         CSpace::Global => 1.0,
@@ -1002,17 +1077,16 @@ impl<'a> Walker<'a> {
                 if slot.len() == 8 {
                     slot.pop_front();
                 }
-                slot.push_back(lanes);
+                slot.push_back((mask, u));
             }
+            let lanes = &self.lanes;
             match acc.space {
                 CSpace::Global => {
-                    record_gmem(
-                        &mut self.counters,
-                        self.device.cc,
-                        &lanes,
-                        acc.is_store,
-                        self.weight,
-                    );
+                    let cc = self.device.cc;
+                    let ev = memoized(&mut self.gmem_memo[acc.site], mask, u, || {
+                        classify_gmem(cc, &lane_addrs(lanes, &acc.word, u, mask))
+                    });
+                    apply_gmem(&mut self.counters, cc, ev, acc.is_store, self.weight);
                 }
                 CSpace::Shared => {
                     if acc.is_store {
@@ -1020,7 +1094,10 @@ impl<'a> Walker<'a> {
                     } else {
                         self.counters.smem_load += self.weight;
                     }
-                    let rep = smem_replays(self.device.smem_banks, &lanes) as f64;
+                    let banks = self.device.smem_banks;
+                    let rep = memoized(&mut self.smem_memo[acc.site], mask, u, || {
+                        smem_replays(banks, &lane_addrs(lanes, &acc.word, u, mask))
+                    }) as f64;
                     self.counters.smem_replays += rep * self.weight;
                     self.counters.instructions += rep * self.weight;
                 }
@@ -1031,9 +1108,9 @@ impl<'a> Walker<'a> {
 
     /// Cooperative staging: this warp's share of the block-wide copy.
     fn walk_stage(&mut self, st: &CStage) {
-        let lane0 = self.active.iter().position(|&a| a).expect("active lane");
-        let r0 = st.src_row0.eval(self.lane_env(lane0));
-        let c0 = st.src_col0.eval(self.lane_env(lane0));
+        let lane0 = self.lane0();
+        let r0 = self.at_lane(&st.src_row0, lane0);
+        let c0 = self.at_lane(&st.src_col0, lane0);
         let elems = st.rows * st.cols;
         let iters = (elems + self.threads_per_block - 1) / self.threads_per_block;
         // Iterations are identical in shape; sample up to 4.
@@ -1079,24 +1156,19 @@ impl<'a> Walker<'a> {
             // load, store, loop bookkeeping.
             self.counters.instructions += 4.0 * w;
         }
-        let _ = self.warps_per_block;
     }
 
     fn walk_regxfer(&mut self, elems: &[(CPred, CExpr)], is_store: bool) {
         for (guard, word) in elems {
-            let mut lanes: [Option<i64>; WARP] = [None; WARP];
-            for (lane, slot) in lanes.iter_mut().enumerate() {
-                if self.active[lane] && self.eval_pred_lane(guard, lane) {
-                    *slot = Some(word.eval(self.lane_env(lane)));
-                }
-            }
-            if lanes.iter().all(|l| l.is_none()) {
+            let mask = self.pred_mask(guard, self.active);
+            if mask == 0 {
                 continue;
             }
+            let u = word.uniform(&self.env);
             record_gmem(
                 &mut self.counters,
                 self.device.cc,
-                &lanes,
+                &lane_addrs(&self.lanes, word, u, mask),
                 is_store,
                 self.weight,
             );
