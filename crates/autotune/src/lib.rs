@@ -33,8 +33,8 @@ pub use model::{
     MODEL_VERSION,
 };
 pub use report::{
-    BatchStats, CandidateFate, CandidateOutcome, FailureTable, FuseStats, ModelStats, ServeStats,
-    Stage, TuneEvent,
+    CandidateFate, CandidateOutcome, FailureTable, FuseStats, ModelStats, ServeStats, Stage,
+    TuneEvent,
 };
 pub use space::{candidates, default_params, gemm_candidates, solver_candidates};
 pub use tuner::{

@@ -179,11 +179,8 @@ pub enum TuneEvent {
         /// The winner's predicted GFLOPS, if any candidate ranked.
         winner_gflops: Option<f64>,
     },
-    /// A dispatch batch finished (emitted by `oa_core::dispatch`'s
-    /// batched executor, after any tuning its warm-up triggered).
-    Batch(BatchStats),
-    /// A persistent server drained and shut down (emitted once by
-    /// `oa serve --listen` with the lifetime totals).
+    /// A server run drained and shut down (emitted once by either
+    /// `oa serve` mode with the lifetime totals).
     Serve(ServeStats),
     /// Native-tier coverage for one compiled program (emitted by the
     /// bench harness after running a routine on the native engine, so
@@ -236,44 +233,15 @@ pub struct ModelStats {
     pub actual_winner_gflops: Option<f64>,
 }
 
-/// Per-batch accounting of the dispatch layer's batched executor
-/// (`oa_core::dispatch`), carried by [`TuneEvent::Batch`] so batch runs
-/// share the tuner's observer channel and trace sink.
-///
-/// `hits + misses` equals the number of requests that reached the
-/// compiled-program store (every successfully resolved request performs
-/// exactly one lookup); `requests_per_sec` is the batch's measured
-/// throughput — the quantity `bench_dispatch` optimizes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BatchStats {
-    /// Requests submitted.
-    pub requests: usize,
-    /// Requests that executed successfully.
-    pub ok: usize,
-    /// Requests that failed (resolution, compilation or execution).
-    pub failed: usize,
-    /// Compiled-program cache hits.
-    pub hits: u64,
-    /// Compiled-program cache misses (each triggers one compilation).
-    pub misses: u64,
-    /// Compiled programs evicted by the bounded LRU during the batch.
-    pub evictions: u64,
-    /// Worker threads the batch ran on.
-    pub threads: usize,
-    /// Batch wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Requests per second over the batch wall time.
-    pub requests_per_sec: f64,
-}
-
-/// Lifetime totals of one persistent-server run, carried by
-/// [`TuneEvent::Serve`] and emitted exactly once, after the graceful
-/// drain — so `admitted == completed` always holds in the event
+/// Lifetime totals of one `oa serve` run (listening or one-shot),
+/// carried by [`TuneEvent::Serve`] and emitted exactly once, after the
+/// graceful drain — so `admitted == completed` always holds in the event
 /// (rejected requests were never admitted and are counted separately).
 ///
-/// The live view of the same counters is the server's `metrics`
-/// introspection request; this event is the durable end-of-life record
-/// in the `OA_TRACE` stream, validated by `oa trace-check`.
+/// The live view of the same counters is the listening server's
+/// `metrics` introspection request; this event is the durable
+/// end-of-life record in the `OA_TRACE` stream, validated by
+/// `oa trace-check`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests accepted into the admission queue.
@@ -292,12 +260,6 @@ pub struct ServeStats {
     /// Completed requests whose problem size was clamped to a boundary
     /// tuning class (`n < 64` or `n > 1024`).
     pub clamped: usize,
-    /// Dynamic batches dispatched.
-    pub batches: usize,
-    /// Largest dynamic batch.
-    pub max_batch: usize,
-    /// Mean dynamic-batch size (`completed / batches`).
-    pub mean_batch: f64,
     /// Median server-side latency (admission → response ready), ms.
     pub p50_ms: f64,
     /// 99th-percentile server-side latency, ms.

@@ -25,6 +25,7 @@
 //! `BENCH_dispatch.json`'s batched steady rate on this machine.
 //! `--quick` (alias `--smoke`) drives a smaller window and skips the bar.
 
+use oa_bench::git_revision;
 use oa_core::autotune::json::{self, Json};
 use oa_core::dispatch::{Registry, Request};
 use oa_core::gpusim::DeviceSpec;
@@ -144,8 +145,6 @@ fn main() {
     cfg.threads = threads;
     cfg.queue_cap = cfg.queue_cap.max(4 * per_tenant);
     cfg.tenant_quota = cfg.tenant_quota.max(per_tenant);
-    let batch_max = cfg.batch_max;
-    let batch_window_ms = cfg.batch_window.as_secs_f64() * 1e3;
     let (queue_cap, tenant_quota) = (cfg.queue_cap, cfg.tenant_quota);
     let server = spawn_server(
         registry.clone(),
@@ -227,8 +226,8 @@ fn main() {
         stats.p50_ms, stats.p99_ms
     );
     println!(
-        "  batching: {} batches, max {}, mean {:.2}; lru {} hits / {} misses; {} clamped",
-        stats.batches, stats.max_batch, stats.mean_batch, stats.hits, stats.misses, stats.clamped
+        "  lru {} hits / {} misses; {} clamped",
+        stats.hits, stats.misses, stats.clamped
     );
     println!("  overload probe: {probe_ok} served, {probe_rejected} rejected (structured)");
 
@@ -248,6 +247,12 @@ fn main() {
             ),
         ),
         ("quick".to_string(), Json::Bool(quick)),
+        (
+            "mode".to_string(),
+            Json::Str(if quick { "smoke" } else { "full" }.to_string()),
+        ),
+        ("nproc".to_string(), Json::Int(threads as i64)),
+        ("git_rev".to_string(), Json::Str(git_revision())),
         ("tenants".to_string(), Json::Int(tenants.len() as i64)),
         (
             "requests_per_tenant".to_string(),
@@ -256,8 +261,6 @@ fn main() {
         ("threads".to_string(), Json::Int(threads as i64)),
         ("queue_cap".to_string(), Json::Int(queue_cap as i64)),
         ("tenant_quota".to_string(), Json::Int(tenant_quota as i64)),
-        ("batch_max".to_string(), Json::Int(batch_max as i64)),
-        ("batch_window_ms".to_string(), Json::Num(batch_window_ms)),
         ("warm_secs".to_string(), Json::Num(warm_secs)),
         ("steady_secs".to_string(), Json::Num(steady_secs)),
         ("steady_requests_per_sec".to_string(), Json::Num(steady_rps)),
@@ -272,9 +275,6 @@ fn main() {
                 ("failed".to_string(), Json::Int(stats.failed as i64)),
                 ("rejected".to_string(), Json::Int(stats.rejected as i64)),
                 ("clamped".to_string(), Json::Int(stats.clamped as i64)),
-                ("batches".to_string(), Json::Int(stats.batches as i64)),
-                ("max_batch".to_string(), Json::Int(stats.max_batch as i64)),
-                ("mean_batch".to_string(), Json::Num(stats.mean_batch)),
                 ("p50_ms".to_string(), Json::Num(stats.p50_ms)),
                 ("p99_ms".to_string(), Json::Num(stats.p99_ms)),
                 ("hits".to_string(), Json::Int(stats.hits as i64)),

@@ -8,7 +8,7 @@
 //! oa variants TRMM-LL-N                    # the composer's generated scripts
 //! oa cuda GEMM-NN --n 1024                 # emit the tuned kernel's CUDA source
 //! oa trace-check trace.jsonl               # validate a captured trace stream
-//! oa serve batch.jsonl --threads 8         # batched dispatch: JSONL in, JSONL out
+//! oa serve requests.jsonl --threads 8      # one-shot serve: JSONL in, JSONL out
 //! oa fuzz --seed 5 --iters 200             # differential fuzz: 3 engines + reference
 //! oa explain --native TRSM-LL-N --n 256    # native-tier region map + reject table
 //! oa model train trace.jsonl               # fit the tuner's learned cost model
@@ -23,18 +23,19 @@
 //! the path is `-`), executes each as soon as it arrives through the
 //! routine registry, and streams one JSON result per line to stdout in
 //! submission order (flushed per line — a slow producer sees results
-//! flow, not silence until EOF).
+//! flow, not silence until EOF).  It exits 1 if any line was answered
+//! with an error.
 //! `--threads`/`--capacity` fall back to `OA_DISPATCH_THREADS` /
 //! `OA_DISPATCH_CAPACITY` (capacity 0 = unbounded program store), and
 //! `OA_TUNE_CACHE` names a persistent tuning-cache file.
 //!
 //! `serve --listen ADDR` instead starts the **persistent multi-tenant
-//! server**: same JSONL protocol over TCP (`host:port`) or a Unix
-//! socket (`unix:/path`), with bounded admission queues, per-tenant
-//! fairness, dynamic batching, and `{"op": "metrics"}` /
+//! server** on the same scheduler: the same JSONL protocol over TCP
+//! (`host:port`) or a Unix socket (`unix:/path`), with a bounded
+//! admission queue, per-tenant fairness, and `{"op": "metrics"}` /
 //! `{"op": "health"}` / `{"op": "shutdown"}` introspection ops.
-//! `--queue-cap`, `--tenant-quota`, `--batch-max` and
-//! `--batch-window-ms` tune it (env fallbacks `OA_SERVE_*`).
+//! `--queue-cap` and `--tenant-quota` tune it (env fallbacks
+//! `OA_SERVE_QUEUE_CAP` / `OA_SERVE_TENANT_QUOTA`).
 
 use oa_core::dispatch::Registry;
 use oa_core::trace::{check_stream, stderr_observer, TraceMode};
@@ -72,8 +73,6 @@ struct Args {
     listen: Option<String>,
     queue_cap: Option<usize>,
     tenant_quota: Option<usize>,
-    batch_max: Option<usize>,
-    batch_window_ms: Option<usize>,
 }
 
 fn env_usize(name: &str) -> Option<usize> {
@@ -99,8 +98,6 @@ fn parse_args() -> Result<Args, String> {
     let mut listen = None;
     let mut queue_cap = None;
     let mut tenant_quota = None;
-    let mut batch_max = None;
-    let mut batch_window_ms = None;
     let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -161,14 +158,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--tenant-quota needs a value")?;
                 tenant_quota = Some(v.parse().map_err(|_| format!("bad tenant quota `{v}`"))?);
             }
-            "--batch-max" => {
-                let v = it.next().ok_or("--batch-max needs a value")?;
-                batch_max = Some(v.parse().map_err(|_| format!("bad batch size `{v}`"))?);
-            }
-            "--batch-window-ms" => {
-                let v = it.next().ok_or("--batch-window-ms needs a value")?;
-                batch_window_ms = Some(v.parse().map_err(|_| format!("bad window `{v}`"))?);
-            }
             other if cmd.is_none() => cmd = Some(other.to_string()),
             other if routine.is_none() => routine = Some(other.to_string()),
             other if extra.is_none() => extra = Some(other.to_string()),
@@ -193,8 +182,6 @@ fn parse_args() -> Result<Args, String> {
         listen,
         queue_cap,
         tenant_quota,
-        batch_max,
-        batch_window_ms,
     })
 }
 
@@ -471,7 +458,7 @@ fn run(args: &Args) -> Result<(), String> {
                 .threads
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()));
 
-            if let Some(addr) = &args.listen {
+            let stats = if let Some(addr) = &args.listen {
                 // Persistent multi-tenant server mode.
                 let mut cfg = oa_core::ServeConfig::from_env();
                 cfg.threads = threads;
@@ -480,12 +467,6 @@ fn run(args: &Args) -> Result<(), String> {
                 }
                 if let Some(v) = args.tenant_quota {
                     cfg.tenant_quota = v.max(1);
-                }
-                if let Some(v) = args.batch_max {
-                    cfg.batch_max = v.max(1);
-                }
-                if let Some(v) = args.batch_window_ms {
-                    cfg.batch_window = std::time::Duration::from_millis(v as u64);
                 }
                 let listener =
                     oa_core::Listener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
@@ -498,31 +479,15 @@ fn run(args: &Args) -> Result<(), String> {
                 use std::io::Write;
                 let _ = std::io::stdout().flush();
                 // Runs until a client sends {"op": "shutdown"}.
-                let stats = server.join();
-                if args.trace != TraceMode::Json {
-                    eprintln!(
-                        "oa serve: drained — {} admitted, {} ok, {} failed, \
-                         {} rejected, {} batch(es), p50 {:.2} ms, p99 {:.2} ms",
-                        stats.admitted,
-                        stats.ok,
-                        stats.failed,
-                        stats.rejected,
-                        stats.batches,
-                        stats.p50_ms,
-                        stats.p99_ms
-                    );
-                }
-                return Ok(());
-            }
-
-            // One-shot mode: the routine slot is the request file
-            // (`-` = stdin), streamed line by line with incremental
-            // output — no slurping the whole input first.
-            let path = args
-                .routine
-                .as_deref()
-                .ok_or("serve needs a JSONL request file (or `-` for stdin), or --listen")?;
-            let stats = {
+                server.join()
+            } else {
+                // One-shot mode: the routine slot is the request file
+                // (`-` = stdin), streamed line by line with incremental
+                // output — no slurping the whole input first.
+                let path = args
+                    .routine
+                    .as_deref()
+                    .ok_or("serve needs a JSONL request file (or `-` for stdin), or --listen")?;
                 // `Stdout` (not the non-`Send` lock): each line is
                 // written and flushed whole, so interleaving is moot.
                 let mut out = std::io::stdout();
@@ -536,22 +501,25 @@ fn run(args: &Args) -> Result<(), String> {
                 }
             };
             // In json trace mode stderr is a machine-readable stream and
-            // the batch event already carries these numbers — keep it
+            // the `serve` event already carries these numbers — keep it
             // clean for `oa trace-check`.
             if args.trace != TraceMode::Json {
                 eprintln!(
-                    "served {} request(s) ({} ok, {} failed) on {} thread(s): \
-                     {:.1} ms, {:.0} req/s",
-                    stats.requests,
+                    "oa serve: drained — {} admitted, {} ok, {} failed, {} rejected \
+                     on {} thread(s), p50 {:.2} ms, p99 {:.2} ms, {:.1} ms up",
+                    stats.admitted,
                     stats.ok,
                     stats.failed,
-                    stats.threads,
-                    stats.wall_ms,
-                    stats.requests_per_sec
+                    stats.rejected,
+                    threads,
+                    stats.p50_ms,
+                    stats.p99_ms,
+                    stats.wall_ms
                 );
             }
-            if stats.failed > 0 {
-                return Err(format!("{} request(s) failed", stats.failed));
+            let errors = stats.failed + stats.rejected;
+            if args.listen.is_none() && errors > 0 {
+                return Err(format!("{errors} request(s) answered with an error"));
             }
             Ok(())
         }

@@ -23,7 +23,7 @@
 //! planner ([`oa_autotune::fuse`]) pairs legal producer→consumer edges,
 //! the tuned fused programs are resolved through the registry's
 //! DAG-shape-keyed plan cache, and the whole DAG executes as **one
-//! unit** (a DAG request is never split across scheduler batches).
+//! unit** (`oa serve` admits and runs it as one request).
 
 use crate::dispatch::{check_size, reject, solver_tile, Registry, Rejection};
 use oa_autotune::fuse::{DagNode, FuseEnv, Operand, ResolveMode};

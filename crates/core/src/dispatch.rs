@@ -1,4 +1,4 @@
-//! The batched routine-dispatch layer: tuned once, called many times.
+//! The routine-dispatch layer: tuned once, called many times.
 //!
 //! The paper's endgame (Sec. V) is a *library* — each routine tuned once
 //! per device, then invoked repeatedly.  Everything below `oa-core`
@@ -10,16 +10,12 @@
 //!   script **once** through the selected engine, and memoizes the compiled
 //!   program in a bounded LRU keyed by
 //!   `(routine, device, param-point, size)`;
-//! * [`Registry::run_batch`] — a batch of mixed [`Request`]s drained by
-//!   the shared-queue worker pool ([`oa_gpusim::dispatch::run_jobs`])
-//!   with compile-once/run-many semantics and **deterministic
-//!   per-request results regardless of scheduling order** (the dispatch
-//!   test battery runs the same batch across engines, thread counts,
-//!   submission orders and LRU capacities and demands bit-identical
-//!   digests);
-//! * [`BatchStats`] — per-batch hits/misses/evictions and requests/sec,
-//!   emitted as a [`TuneEvent::Batch`] through the same observer channel
-//!   the tuner traces through (`OA_TRACE`, `oa trace-check`).
+//! * [`Registry::run_one`] — one request end to end (admit, resolve,
+//!   fetch-or-compile, execute, digest) with **deterministic results
+//!   regardless of scheduling**: `oa serve`'s workers call it
+//!   concurrently, and the dispatch test battery runs the same requests
+//!   across engines, thread counts, submission orders and LRU
+//!   capacities and demands bit-identical digests.
 //!
 //! Two size notions keep tuning amortized without compromising
 //! correctness: routines are *tuned* per [`size_class`] (problem sizes
@@ -33,7 +29,6 @@
 //! the throughput harness is `bench_dispatch` (`BENCH_dispatch.json`).
 
 use oa_autotune::json::Json;
-use oa_autotune::report::BatchStats;
 use oa_autotune::{
     model_path_from_env, sibling_model_path, tune_fresh_modeled, validate_record, CacheIssue,
     CostModel, ModelCtx, ModelMode, TuneCache, TuneEvent, TunedRecord,
@@ -42,7 +37,7 @@ use oa_blas3::types::RoutineId;
 use oa_blas3::verify::prepare_buffers;
 use oa_epod::translator::apply_lenient;
 use oa_epod::Script;
-use oa_gpusim::dispatch::{run_jobs, CompiledProgram, Lru};
+use oa_gpusim::dispatch::{CompiledProgram, Lru};
 use oa_gpusim::{DeviceSpec, ExecEngine};
 use oa_loopir::interp::{Bindings, Buffers};
 use oa_loopir::transform::TileParams;
@@ -340,15 +335,6 @@ impl RequestOutcome {
     }
 }
 
-/// A batch's outcomes (submission order) plus its accounting.
-#[derive(Clone, Debug)]
-pub struct BatchReport {
-    /// One outcome per request, aligned with the submitted slice.
-    pub outcomes: Vec<RequestOutcome>,
-    /// The batch counters also emitted as [`TuneEvent::Batch`].
-    pub stats: BatchStats,
-}
-
 /// The size class a problem size is *tuned* at: the next power of two,
 /// clamped to `[64, 1024]`.  Requests inside one class share a single
 /// tuning sweep; compilation still happens at the exact request size, so
@@ -488,7 +474,7 @@ fn shard_of<K: Hash>(key: &K, shards: usize) -> usize {
 /// The routine registry: one per device, engine-pinned, holding the
 /// tuned-script table and the bounded precompiled-program LRU.
 ///
-/// Thread-safe by construction (`&self` everywhere): the batch executor's
+/// Thread-safe by construction (`&self` everywhere): `oa serve`'s
 /// workers resolve and execute through one shared registry.  Both hot
 /// tables are sharded so the persistent server's concurrency holds up:
 ///
@@ -607,7 +593,7 @@ impl Registry {
 
     /// Bound the precompiled-program LRU (`None` = unbounded).  Eviction
     /// never changes results — only the hit rate (the property suite
-    /// replays batches at capacity 1 vs unbounded and demands equal
+    /// replays requests at capacity 1 vs unbounded and demands equal
     /// outputs).
     pub fn with_capacity(mut self, capacity: Option<usize>) -> Registry {
         self.programs = program_shards(capacity);
@@ -683,8 +669,8 @@ impl Registry {
     /// written to a shared trace sink from concurrent threads must hold
     /// this lock while emitting, so `oa trace-check` never sees two
     /// interleaved spans.  Fresh tunes inside [`Registry::resolve_observed`]
-    /// take it automatically; the server takes it around its own
-    /// `Batch`/`Serve` event lines.
+    /// take it automatically; the server takes it around its terminal
+    /// `serve` event line.
     pub fn trace_gate(&self) -> MutexGuard<'_, ()> {
         self.trace_gate.lock().expect("unpoisoned registry")
     }
@@ -861,25 +847,6 @@ impl Registry {
         Ok((e, false))
     }
 
-    /// Admit, resolve and fetch-or-compile `req`'s program — the front
-    /// half every execution path shares.  `Err` is the request's terminal
-    /// status.
-    fn prepare(
-        &self,
-        req: &Request,
-        obs: &mut dyn FnMut(TuneEvent),
-    ) -> Result<(Arc<CompiledEntry>, bool), RequestStatus> {
-        admit(req)?;
-        let entry = self
-            .resolve_observed(req.routine, req.n, obs)
-            .map_err(|reason| RequestStatus::Failed {
-                class: "resolve",
-                reason,
-            })?;
-        self.compiled(req.routine, &entry, req.n)
-            .map_err(|(class, reason)| RequestStatus::Failed { class, reason })
-    }
-
     /// Execute one request end to end, optionally returning the executed
     /// buffers (the differential suite compares them bit-for-bit against
     /// a direct engine run).  [`admit`] runs first, so constraint
@@ -898,58 +865,57 @@ impl Registry {
         obs: &mut dyn FnMut(TuneEvent),
     ) -> (RequestOutcome, Option<Buffers>) {
         let t0 = Instant::now();
-        match self.prepare(req, obs) {
-            Ok((ce, cache_hit)) => self.finish_one(req, &ce, cache_hit, t0),
-            Err(status) => (
-                RequestOutcome {
-                    request: req.clone(),
-                    status,
-                },
-                None,
-            ),
+        let outcome = |status| RequestOutcome {
+            request: req.clone(),
+            status,
+        };
+        match self.execute(req, obs) {
+            Ok((ce, cache_hit, bufs)) => {
+                let (tuned_class, clamped) = size_class_info(req.n);
+                let ok = RequestOk {
+                    output: match req.routine {
+                        RoutineId::Trsm(..) => "B",
+                        _ => "C",
+                    },
+                    digest: digest_buffers(&bufs),
+                    cache_hit,
+                    model_gflops: ce.model_gflops,
+                    ms: t0.elapsed().as_secs_f64() * 1e3,
+                    tuned_class,
+                    clamped,
+                    engine_hint: self.engine_hint(req.routine),
+                };
+                (outcome(RequestStatus::Ok(ok)), Some(bufs))
+            }
+            Err(status) => (outcome(status), None),
         }
     }
 
-    /// Prepare inputs, execute a compiled program, and build the
-    /// terminal outcome — the tail every execution path shares.
-    fn finish_one(
+    /// Admit, resolve, fetch-or-compile and run `req`'s program on fresh
+    /// inputs.  `Err` is the request's terminal status.
+    fn execute(
         &self,
         req: &Request,
-        ce: &CompiledEntry,
-        cache_hit: bool,
-        t0: Instant,
-    ) -> (RequestOutcome, Option<Buffers>) {
+        obs: &mut dyn FnMut(TuneEvent),
+    ) -> Result<(Arc<CompiledEntry>, bool, Buffers), RequestStatus> {
+        admit(req)?;
+        let entry = self
+            .resolve_observed(req.routine, req.n, obs)
+            .map_err(|reason| RequestStatus::Failed {
+                class: "resolve",
+                reason,
+            })?;
+        let (ce, cache_hit) = self
+            .compiled(req.routine, &entry, req.n)
+            .map_err(|(class, reason)| RequestStatus::Failed { class, reason })?;
         let mut bufs = prepare_buffers(&ce.program, req.n, req.seed, req.zero_blanks);
-        if let Err(e) = ce.compiled.execute(&mut bufs) {
-            return (
-                RequestOutcome {
-                    request: req.clone(),
-                    status: RequestStatus::Failed {
-                        class: "exec",
-                        reason: e.to_string(),
-                    },
-                },
-                None,
-            );
-        }
-        let (tuned_class, clamped) = size_class_info(req.n);
-        let outcome = RequestOutcome {
-            request: req.clone(),
-            status: RequestStatus::Ok(RequestOk {
-                output: match req.routine {
-                    RoutineId::Trsm(..) => "B",
-                    _ => "C",
-                },
-                digest: digest_buffers(&bufs),
-                cache_hit,
-                model_gflops: ce.model_gflops,
-                ms: t0.elapsed().as_secs_f64() * 1e3,
-                tuned_class,
-                clamped,
-                engine_hint: self.engine_hint(req.routine),
-            }),
-        };
-        (outcome, Some(bufs))
+        ce.compiled
+            .execute(&mut bufs)
+            .map_err(|e| RequestStatus::Failed {
+                class: "exec",
+                reason: e.to_string(),
+            })?;
+        Ok((ce, cache_hit, bufs))
     }
 
     /// Execute one request end to end.
@@ -966,97 +932,13 @@ impl Registry {
         self.run_one_buffers_observed(req, obs).0
     }
 
-    /// Execute a coalesced group of requests sharing one
-    /// `(routine, n)` — the dynamic-batching hot path of
-    /// `oa serve --listen`.  The tuned script is resolved and the
-    /// program fetched/compiled **once**; every member then executes
-    /// against the shared compiled entry with its own seed/buffers.
-    /// Outcomes are in group order, identical to running each request
-    /// through [`Registry::run_one`] (the first member carries the real
-    /// cache provenance; later members are hits by construction).
-    pub fn run_group(&self, reqs: &[Request]) -> Vec<RequestOutcome> {
-        self.run_group_observed(reqs, &mut |_| {})
-    }
-
-    /// [`Registry::run_group`] with a trace observer.
-    pub fn run_group_observed(
-        &self,
-        reqs: &[Request],
-        obs: &mut dyn FnMut(TuneEvent),
-    ) -> Vec<RequestOutcome> {
-        let mut out = Vec::with_capacity(reqs.len());
-        let mut shared: Option<(RoutineId, i64, Arc<CompiledEntry>)> = None;
-        for req in reqs {
-            let t0 = Instant::now();
-            let prepared = match &shared {
-                // Every request after the first reuses the group's
-                // compiled program: a cache hit by construction (admission
-                // depends only on `(routine, n)`, which the first member
-                // passed).  The key check keeps a mis-coalesced group
-                // correct (it falls back to its own resolve) instead of
-                // running the wrong program.
-                Some((r, n, ce)) if *r == req.routine && *n == req.n => Ok((ce.clone(), true)),
-                _ => self.prepare(req, obs),
-            };
-            match prepared {
-                Ok((ce, cache_hit)) => {
-                    shared = Some((req.routine, req.n, ce.clone()));
-                    out.push(self.finish_one(req, &ce, cache_hit, t0).0);
-                }
-                Err(status) => out.push(RequestOutcome {
-                    request: req.clone(),
-                    status,
-                }),
-            }
-        }
-        out
-    }
-
-    /// Pre-resolve every distinct `(routine, size class)` a batch needs,
-    /// in submission order, on the calling thread.  This is where tuning
-    /// happens — sequentially, so the trace stream stays a well-formed
-    /// series of `begin…summary` tunes instead of an interleaved mess
-    /// from concurrent workers.
+    /// Pre-resolve every distinct `(routine, size class)` `reqs` need, in
+    /// order, on the calling thread — tuning up front, so a benchmark's
+    /// timed passes only replay and execute.
     pub fn warm(&self, reqs: &[Request], obs: &mut dyn FnMut(TuneEvent)) {
         for req in reqs {
             let _ = self.resolve_observed(req.routine, req.n, obs);
         }
-    }
-
-    /// Execute a batch on `threads` workers with compile-once/run-many
-    /// semantics: warm (tune anything unresolved), drain the requests
-    /// through the shared-queue pool, account the batch, and emit
-    /// [`TuneEvent::Batch`].  Outcomes are in submission order and
-    /// bit-identical for any `threads` value.
-    pub fn run_batch(
-        &self,
-        reqs: &[Request],
-        threads: usize,
-        obs: &mut dyn FnMut(TuneEvent),
-    ) -> BatchReport {
-        self.warm(reqs, obs);
-        let before = self.program_stats();
-        let t0 = Instant::now();
-        let outcomes = run_jobs(threads, reqs, |_, r| self.run_one(r));
-        let wall = t0.elapsed().as_secs_f64();
-        let delta = self.program_stats().since(&before);
-        let ok = outcomes
-            .iter()
-            .filter(|o| matches!(o.status, RequestStatus::Ok(_)))
-            .count();
-        let stats = BatchStats {
-            requests: reqs.len(),
-            ok,
-            failed: reqs.len() - ok,
-            hits: delta.hits,
-            misses: delta.misses,
-            evictions: delta.evictions,
-            threads: threads.max(1).min(reqs.len().max(1)),
-            wall_ms: wall * 1e3,
-            requests_per_sec: reqs.len() as f64 / wall.max(1e-9),
-        };
-        obs(TuneEvent::Batch(stats));
-        BatchReport { outcomes, stats }
     }
 }
 

@@ -40,7 +40,7 @@ pub use oa_gpusim as gpusim;
 pub use oa_loopir as loopir;
 
 pub use dag::{admit_dag, DagOutcome, DagRequest, DagStatus};
-pub use dispatch::{BatchReport, Registry, Request, RequestOutcome, RequestStatus};
+pub use dispatch::{Registry, Request, RequestOutcome, RequestStatus};
 pub use oa_autotune::{
     CacheIssue, FailureTable, TuneCache, TuneError, TuneEvent, TunedKernel, TunedRecord,
 };

@@ -1,49 +1,47 @@
-//! The persistent, multi-tenant dispatch server behind
-//! `oa serve --listen`, plus the streaming one-shot pipeline behind
-//! plain `oa serve`.
+//! The one request scheduler behind both `oa serve` modes: the
+//! persistent, multi-tenant server of `oa serve --listen` and the
+//! one-shot `oa serve FILE|-`.
 //!
 //! The paper's endgame is a *library*; a library that tunes once and is
 //! then consulted repeatedly wants to be a long-lived process, not a
 //! batch job.  This module turns the routine [`Registry`] into exactly
-//! that:
+//! that, with one scheduling path for every mode:
 //!
 //! * [`Listener`] — one JSONL protocol over TCP (`host:port`) or a Unix
 //!   domain socket (`unix:/path`);
-//! * [`Admission`] — a bounded, tenant-fair admission queue: a global
-//!   queue cap and a per-tenant in-flight quota, both answered with a
-//!   structured JSONL rejection (`admission/overload`,
-//!   `admission/shutdown`) instead of unbounded buffering, and a
-//!   round-robin dequeue so one flooding tenant cannot starve the rest;
-//! * dynamic batching — admitted requests are coalesced by
-//!   `(routine, n)` in a small time/size window
-//!   ([`oa_gpusim::dispatch::Coalescer`]) and dispatched as one group
-//!   through [`Registry::run_group_observed`], so a burst of identical
-//!   requests resolves and compiles **once** and hits the warm program
-//!   LRU for the rest;
-//! * [`Metrics`] — live counters (queue depth, batch sizes, LRU hit
-//!   rate, per-tenant completions, p50/p99 latency, process-wide native
-//!   region entries/fallbacks) served over the same
-//!   socket via `{"op": "metrics"}` / `{"op": "health"}`, and folded
-//!   into one terminal [`TuneEvent::Serve`] record after the graceful
-//!   drain — the durable trace line `oa trace-check` validates;
-//! * [`serve_stream`] — the one-shot mode, rewritten from
-//!   slurp-everything to a streaming pipeline (reader → bounded channel
-//!   → workers → order-restoring writer) that emits each result line as
-//!   soon as it is ready, so piping requests in over a slow producer
-//!   gets incremental output instead of silence until EOF.
+//! * [`Admission`] — the only queue: a global queue cap and a
+//!   per-tenant in-flight quota, both answered with a structured JSONL
+//!   rejection (`admission/overload`, `admission/shutdown`) instead of
+//!   unbounded buffering, and a round-robin dequeue so one flooding
+//!   tenant cannot starve the rest;
+//! * workers — `threads` threads pop [`Admission`] directly, run each
+//!   request through the registry under [`oa_gpusim::in_place`]
+//!   (request-level parallelism owns the machine, so the engines'
+//!   block-parallel regions stay inline) and answer on the request's own
+//!   connection;
+//! * [`Metrics`] — live counters (queue depth, LRU hit rate, per-tenant
+//!   completions, p50/p99 latency, process-wide native region
+//!   entries/fallbacks) served over the same socket via
+//!   `{"op": "metrics"}` / `{"op": "health"}`, and folded into one
+//!   terminal [`TuneEvent::Serve`] record after the graceful drain — the
+//!   durable trace line `oa trace-check` validates;
+//! * [`serve_stream`] — the one-shot mode: the same workers and queue
+//!   with a single connection, the input stream in and the output stream
+//!   out.  That connection writes answers in submission order, each
+//!   flushed as soon as it and everything before it is ready, and its
+//!   reader waits for room in a full queue instead of being refused.
 //!
 //! Scheduling metadata (the `tenant` field) never reaches the engines:
-//! results served concurrently, batched, under any tenant mix are
-//! bit-identical to a sequential one-shot run of the same requests —
-//! the server test battery pins this digest-for-digest.
+//! results served concurrently, under any tenant mix, are bit-identical
+//! to a sequential run of the same requests — the server test battery
+//! pins this digest-for-digest.
 
 use crate::dag::{DagRequest, DagStatus};
-use crate::dispatch::{reject, Registry, Rejection, Request};
+use crate::dispatch::{reject, Registry, Rejection, Request, RequestStatus};
 use crate::trace::{emit, stderr_observer, TraceMode};
 use oa_autotune::json::Json;
-use oa_autotune::report::{BatchStats, ServeStats};
+use oa_autotune::report::ServeStats;
 use oa_autotune::TuneEvent;
-use oa_gpusim::dispatch::{Coalescer, Pool};
 use oa_gpusim::LruStats;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, Read, Write};
@@ -51,10 +49,10 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long a blocked socket read or idle scheduler wait may last before
+/// How long a blocked socket read or an idle accept may last before
 /// re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
@@ -66,18 +64,13 @@ fn env_usize(name: &str) -> Option<usize> {
 /// `OA_SERVE_*` environment overrides; the CLI flags override both.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads executing dynamic batches.
+    /// Worker threads popping the admission queue.
     pub threads: usize,
     /// Global admission-queue bound: requests beyond this many queued
     /// are rejected (`admission/overload`), never buffered unboundedly.
     pub queue_cap: usize,
     /// Per-tenant in-flight bound (queued + executing).
     pub tenant_quota: usize,
-    /// Largest dynamic batch the coalescer forms.
-    pub batch_max: usize,
-    /// How long the coalescer holds an under-full group open waiting
-    /// for same-`(routine, n)` company.
-    pub batch_window: Duration,
     /// Latency samples kept for the p50/p99 estimate (a ring: the
     /// percentiles track the most recent window, not the full history).
     pub latency_window: usize,
@@ -89,33 +82,21 @@ impl Default for ServeConfig {
             threads: std::thread::available_parallelism().map_or(2, |p| p.get()),
             queue_cap: 1024,
             tenant_quota: 32,
-            batch_max: 16,
-            batch_window: Duration::from_millis(2),
             latency_window: 4096,
         }
     }
 }
 
 impl ServeConfig {
-    /// The defaults with `OA_SERVE_THREADS`, `OA_SERVE_QUEUE_CAP`,
-    /// `OA_SERVE_TENANT_QUOTA`, `OA_SERVE_BATCH_MAX` and
-    /// `OA_SERVE_BATCH_WINDOW_MS` applied.
+    /// The defaults with `OA_SERVE_QUEUE_CAP` and
+    /// `OA_SERVE_TENANT_QUOTA` applied.
     pub fn from_env() -> ServeConfig {
         let mut c = ServeConfig::default();
-        if let Some(v) = env_usize("OA_SERVE_THREADS") {
-            c.threads = v.max(1);
-        }
         if let Some(v) = env_usize("OA_SERVE_QUEUE_CAP") {
             c.queue_cap = v.max(1);
         }
         if let Some(v) = env_usize("OA_SERVE_TENANT_QUOTA") {
             c.tenant_quota = v.max(1);
-        }
-        if let Some(v) = env_usize("OA_SERVE_BATCH_MAX") {
-            c.batch_max = v.max(1);
-        }
-        if let Some(v) = env_usize("OA_SERVE_BATCH_WINDOW_MS") {
-            c.batch_window = Duration::from_millis(v as u64);
         }
         c
     }
@@ -205,21 +186,75 @@ impl Write for Stream {
     }
 }
 
-/// The write half of one connection, shared between the reader (for
-/// immediate rejections) and every worker serving that connection's
-/// requests.  Lines are written atomically under the lock; a client
-/// that hung up just makes writes no-ops (the request still completes
-/// and is accounted — results are never silently dropped server-side).
-struct ConnOut {
-    w: Mutex<Box<dyn Write + Send>>,
+/// The write half of one connection, shared between its reader (for
+/// immediate answers) and every worker serving its requests.  Each line
+/// goes out as a single `line\n` write under the lock: a separate `\n`
+/// write would sit behind the client's delayed ACK on a Nagle socket.  A
+/// client that hung up just makes writes no-ops (the request still
+/// completes and is accounted); the first write error is kept for the
+/// one-shot mode to report.
+struct ConnOut<'a> {
+    /// The one-shot connection: answers are written in submission order,
+    /// `op` lines are ordinary (malformed) requests, and a full admission
+    /// queue makes its reader wait instead of refusing.
+    one_shot: bool,
+    w: Mutex<ConnWriter<'a>>,
 }
 
-impl ConnOut {
-    fn send_line(&self, line: &str) {
-        let mut w = self.w.lock().expect("unpoisoned connection");
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
-        let _ = w.flush();
+struct ConnWriter<'a> {
+    out: Box<dyn Write + Send + 'a>,
+    /// One-shot order restoration: the next id to write, and the answers
+    /// that became ready before it.
+    next: u64,
+    parked: BTreeMap<u64, String>,
+    error: Option<String>,
+}
+
+impl ConnWriter<'_> {
+    fn write_line(&mut self, mut line: String) {
+        line.push('\n');
+        if let Err(e) = self
+            .out
+            .write_all(line.as_bytes())
+            .and_then(|()| self.out.flush())
+        {
+            self.error.get_or_insert_with(|| format!("output: {e}"));
+        }
+    }
+}
+
+impl<'a> ConnOut<'a> {
+    fn new(out: Box<dyn Write + Send + 'a>, one_shot: bool) -> ConnOut<'a> {
+        ConnOut {
+            one_shot,
+            w: Mutex::new(ConnWriter {
+                out,
+                next: 0,
+                parked: BTreeMap::new(),
+                error: None,
+            }),
+        }
+    }
+
+    /// Answer request `id` (`None`: an admin op, answered at once).
+    fn send(&self, id: Option<u64>, line: String) {
+        let mut guard = self.w.lock().expect("unpoisoned connection");
+        let w = &mut *guard;
+        match id {
+            Some(id) if self.one_shot => {
+                w.parked.insert(id, line);
+                while let Some(line) = w.parked.remove(&w.next) {
+                    w.write_line(line);
+                    w.next += 1;
+                }
+            }
+            _ => w.write_line(line),
+        }
+    }
+
+    /// The first write error, if any.
+    fn error(&self) -> Option<String> {
+        self.w.lock().expect("unpoisoned connection").error.clone()
     }
 }
 
@@ -240,16 +275,60 @@ struct AdmissionInner<T> {
     draining: bool,
 }
 
-/// The bounded, tenant-fair admission queue.
+impl<T> AdmissionInner<T> {
+    /// Why `tenant` cannot be admitted right now, if it cannot.
+    fn refusal(&self, tenant: &str, queue_cap: usize, tenant_quota: usize) -> Option<Rejection> {
+        if self.draining {
+            return Some(reject("admission/shutdown", "server is draining"));
+        }
+        if self.queued >= queue_cap {
+            return Some(reject(
+                "admission/overload",
+                format!("admission queue full ({} queued)", self.queued),
+            ));
+        }
+        let inflight = self.inflight.get(tenant).copied().unwrap_or(0);
+        (inflight >= tenant_quota).then(|| {
+            reject(
+                "admission/overload",
+                format!("tenant `{tenant}` over its in-flight quota ({inflight}/{tenant_quota})"),
+            )
+        })
+    }
+
+    /// Dequeue the next item round-robin across tenants.
+    fn take(&mut self) -> Option<T> {
+        let tenants = self.order.len();
+        for step in 0..tenants {
+            let idx = (self.cursor + step) % tenants;
+            if let Some(item) = self
+                .queues
+                .get_mut(&self.order[idx])
+                .and_then(VecDeque::pop_front)
+            {
+                self.cursor = (idx + 1) % tenants;
+                self.queued -= 1;
+                return Some(item);
+            }
+        }
+        None
+    }
+}
+
+/// The bounded, tenant-fair admission queue — the server's only queue.
 ///
-/// `push` never blocks: over the global cap or the tenant quota it
-/// returns a [`Rejection`] for the caller to answer immediately —
-/// backpressure is explicit and bounded, the server cannot OOM on a
-/// flood.  `pop` dequeues round-robin across tenants, so tenants share
+/// [`Admission::push`] never blocks: over the global cap or the tenant
+/// quota it returns a [`Rejection`] for the caller to answer immediately
+/// — backpressure is explicit and bounded, the server cannot OOM on a
+/// flood.  [`Admission::push_wait`] (the one-shot reader) waits for room
+/// instead.  Workers dequeue round-robin across tenants, so tenants share
 /// dequeue bandwidth evenly no matter how unevenly they submit.
 pub struct Admission<T> {
     inner: Mutex<AdmissionInner<T>>,
-    cv: Condvar,
+    /// Signalled when an item is queued or the drain begins.
+    work: Condvar,
+    /// Signalled when a queue slot or a quota slot frees up.
+    room: Condvar,
     queue_cap: usize,
     tenant_quota: usize,
 }
@@ -266,38 +345,37 @@ impl<T> Admission<T> {
                 inflight: HashMap::new(),
                 draining: false,
             }),
-            cv: Condvar::new(),
+            work: Condvar::new(),
+            room: Condvar::new(),
             queue_cap: queue_cap.max(1),
             tenant_quota: tenant_quota.max(1),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, AdmissionInner<T>> {
+        self.inner.lock().expect("unpoisoned admission")
     }
 
     /// Admit one item for `tenant`, or reject it with a structured
     /// reason.  Admission raises the tenant's in-flight count; the
     /// caller must pair every admitted item with one [`Admission::complete`].
     pub fn push(&self, tenant: &str, item: T) -> Result<(), Rejection> {
-        let mut g = self.inner.lock().expect("unpoisoned admission");
-        if g.draining {
-            return Err(Rejection {
-                class: "admission/shutdown",
-                reason: "server is draining".into(),
-            });
-        }
-        if g.queued >= self.queue_cap {
-            return Err(Rejection {
-                class: "admission/overload",
-                reason: format!("admission queue full ({} queued)", g.queued),
-            });
-        }
-        let inflight = g.inflight.get(tenant).copied().unwrap_or(0);
-        if inflight >= self.tenant_quota {
-            return Err(Rejection {
-                class: "admission/overload",
-                reason: format!(
-                    "tenant `{tenant}` over its in-flight quota ({inflight}/{})",
-                    self.tenant_quota
-                ),
-            });
+        self.admit(tenant, item, false)
+    }
+
+    /// [`Admission::push`] that waits for a queue and quota slot instead
+    /// of answering `admission/overload`; only a drain refuses it.
+    pub fn push_wait(&self, tenant: &str, item: T) -> Result<(), Rejection> {
+        self.admit(tenant, item, true)
+    }
+
+    fn admit(&self, tenant: &str, item: T, wait: bool) -> Result<(), Rejection> {
+        let mut g = self.lock();
+        while let Some(rej) = g.refusal(tenant, self.queue_cap, self.tenant_quota) {
+            if !wait || rej.class != "admission/overload" {
+                return Err(rej);
+            }
+            g = self.room.wait(g).expect("unpoisoned admission");
         }
         if !g.queues.contains_key(tenant) {
             g.order.push(tenant.to_string());
@@ -310,64 +388,47 @@ impl<T> Admission<T> {
         *g.inflight.entry(tenant.to_string()).or_insert(0) += 1;
         g.queued += 1;
         drop(g);
-        self.cv.notify_all();
+        self.work.notify_one();
         Ok(())
     }
 
-    /// Dequeue the next item round-robin across tenants (non-blocking).
+    /// Block for the next item, round-robin across tenants; `None` once
+    /// the drain has begun and the queue is empty — a worker's signal to
+    /// exit.
     pub fn pop(&self) -> Option<T> {
-        let mut g = self.inner.lock().expect("unpoisoned admission");
-        if g.queued == 0 || g.order.is_empty() {
-            return None;
-        }
-        let tenants = g.order.len();
-        for step in 0..tenants {
-            let idx = (g.cursor + step) % tenants;
-            let tenant = g.order[idx].clone();
-            if let Some(item) = g.queues.get_mut(&tenant).and_then(VecDeque::pop_front) {
-                g.cursor = (idx + 1) % tenants;
-                g.queued -= 1;
-                return Some(item);
-            }
-        }
-        None
+        let item = self
+            .work
+            .wait_while(self.lock(), |g| g.queued == 0 && !g.draining)
+            .expect("unpoisoned admission")
+            .take();
+        self.room.notify_all();
+        item
     }
 
     /// Mark one admitted item finished, releasing its tenant-quota slot.
     pub fn complete(&self, tenant: &str) {
-        let mut g = self.inner.lock().expect("unpoisoned admission");
-        if let Some(c) = g.inflight.get_mut(tenant) {
+        if let Some(c) = self.lock().inflight.get_mut(tenant) {
             *c = c.saturating_sub(1);
         }
+        self.room.notify_all();
     }
 
     /// Refuse all future pushes (`admission/shutdown`); already-queued
     /// items still drain through [`Admission::pop`].
     pub fn begin_drain(&self) {
-        self.inner.lock().expect("unpoisoned admission").draining = true;
-        self.cv.notify_all();
+        self.lock().draining = true;
+        self.work.notify_all();
+        self.room.notify_all();
     }
 
-    /// Items currently queued (not yet dequeued by the scheduler).
+    /// Items currently queued (not yet dequeued by a worker).
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("unpoisoned admission").queued
+        self.lock().queued
     }
 
     /// No items queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Block up to `timeout` for the queue to become non-empty.
-    pub fn wait_for_work(&self, timeout: Duration) {
-        let g = self.inner.lock().expect("unpoisoned admission");
-        if g.queued > 0 || g.draining {
-            return;
-        }
-        let _ = self
-            .cv
-            .wait_timeout_while(g, timeout, |g| g.queued == 0 && !g.draining)
-            .expect("unpoisoned admission");
     }
 }
 
@@ -420,8 +481,6 @@ pub struct Metrics {
     failed: AtomicUsize,
     rejected: AtomicUsize,
     clamped: AtomicUsize,
-    batches: AtomicUsize,
-    max_batch: AtomicUsize,
     latencies: Mutex<LatencyRing>,
     /// Completions per tenant (the fairness audit trail).
     tenants: Mutex<BTreeMap<String, u64>>,
@@ -441,8 +500,6 @@ impl Metrics {
             failed: AtomicUsize::new(0),
             rejected: AtomicUsize::new(0),
             clamped: AtomicUsize::new(0),
-            batches: AtomicUsize::new(0),
-            max_batch: AtomicUsize::new(0),
             latencies: Mutex::new(LatencyRing {
                 cap: latency_window.max(1),
                 buf: Vec::new(),
@@ -451,11 +508,6 @@ impl Metrics {
             tenants: Mutex::new(BTreeMap::new()),
             base_lru,
         }
-    }
-
-    fn note_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(size, Ordering::Relaxed);
     }
 
     fn note_outcome(&self, tenant: &str, ok: bool, clamped: bool, latency_ms: f64) {
@@ -481,8 +533,6 @@ impl Metrics {
     }
 
     fn stats(&self, lru: LruStats) -> ServeStats {
-        let completed = self.completed.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
         let (p50, p99) = self
             .latencies
             .lock()
@@ -491,18 +541,11 @@ impl Metrics {
         let delta = lru.since(&self.base_lru);
         ServeStats {
             admitted: self.admitted.load(Ordering::Relaxed),
-            completed,
+            completed: self.completed.load(Ordering::Relaxed),
             ok: self.ok.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             clamped: self.clamped.load(Ordering::Relaxed),
-            batches,
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            mean_batch: if batches == 0 {
-                0.0
-            } else {
-                completed as f64 / batches as f64
-            },
             p50_ms: p50,
             p99_ms: p99,
             hits: delta.hits,
@@ -518,8 +561,8 @@ impl Metrics {
 // ---------------------------------------------------------------------
 
 /// One admitted unit of work: a single routine request, or a whole
-/// expression DAG — a DAG is scheduled, dispatched and executed as one
-/// indivisible unit (never split across batches).
+/// expression DAG — a DAG is scheduled and executed as one indivisible
+/// unit.
 enum Work {
     Single(Request),
     Dag(DagRequest),
@@ -543,36 +586,97 @@ impl Work {
             Work::Dag(d) => d.tenant_name(),
         }
     }
-
-    /// The dynamic-batching key: singles coalesce by `(routine, n)`,
-    /// DAGs by `(shape, n)`.  The `dag:` prefix keeps the key spaces
-    /// disjoint; same-shape DAGs share a group but each member still
-    /// executes as its own unit.
-    fn coalesce_key(&self) -> (String, i64) {
-        match self {
-            Work::Single(r) => (r.routine.name(), r.n),
-            Work::Dag(d) => (format!("dag:{}", d.shape()), d.n),
-        }
-    }
 }
 
-struct Pending {
+struct Pending<'a> {
     id: u64,
     work: Work,
-    conn: Arc<ConnOut>,
+    conn: Arc<ConnOut<'a>>,
     admitted_at: Instant,
 }
 
-struct ServerCtx {
-    registry: Arc<Registry>,
-    admission: Admission<Pending>,
+/// Everything one server run shares: the registry, the admission queue,
+/// the counters and the shutdown flag.  `'a` bounds the borrowed
+/// registry and every connection's writer.
+struct ServerCtx<'a> {
+    registry: &'a Registry,
+    admission: Admission<Pending<'a>>,
     metrics: Metrics,
-    shutdown: AtomicBool,
+    /// Set by a `shutdown` op or [`Server::shutdown_and_join`]: the
+    /// accept loop stops and idle readers close.
+    shutdown: Arc<AtomicBool>,
     threads: usize,
     conns: AtomicU64,
 }
 
-impl ServerCtx {
+impl<'a> ServerCtx<'a> {
+    fn new(registry: &'a Registry, cfg: &ServeConfig, shutdown: Arc<AtomicBool>) -> ServerCtx<'a> {
+        ServerCtx {
+            registry,
+            admission: Admission::new(cfg.queue_cap, cfg.tenant_quota),
+            metrics: Metrics::new(cfg.latency_window, registry.program_stats()),
+            shutdown,
+            threads: cfg.threads.max(1),
+            conns: AtomicU64::new(0),
+        }
+    }
+
+    /// Start the workers on `scope`: each pops admission until the drain
+    /// empties it, runs the request and answers on its connection.
+    fn spawn_workers<'s>(&'s self, scope: &'s std::thread::Scope<'s, '_>, trace: TraceMode) {
+        for _ in 0..self.threads {
+            scope.spawn(move || {
+                let mut obs = stderr_observer(trace);
+                while let Some(p) = self.admission.pop() {
+                    oa_gpusim::in_place(|| self.execute(p, &mut obs));
+                }
+            });
+        }
+    }
+
+    fn execute(&self, p: Pending<'a>, obs: &mut dyn FnMut(TuneEvent)) {
+        let (line, ok, clamped) = match &p.work {
+            Work::Single(req) => {
+                let outcome = self.registry.run_one_observed(req, obs);
+                let (ok, clamped) = match &outcome.status {
+                    RequestStatus::Ok(o) => (true, o.clamped),
+                    RequestStatus::Failed { .. } => (false, false),
+                };
+                (outcome.to_json(p.id as usize).compact(), ok, clamped)
+            }
+            Work::Dag(dag) => {
+                let outcome = self.registry.run_dag_observed(dag, obs);
+                let ok = matches!(outcome.status, DagStatus::Ok(_));
+                (outcome.to_json(p.id as usize).compact(), ok, false)
+            }
+        };
+        let tenant = p.work.tenant_name();
+        let latency_ms = p.admitted_at.elapsed().as_secs_f64() * 1e3;
+        self.metrics.note_outcome(tenant, ok, clamped, latency_ms);
+        p.conn.send(Some(p.id), line);
+        self.admission.complete(tenant);
+    }
+
+    /// Answer request `id` with a refusal that kept it out of admission.
+    fn refuse(&self, conn: &ConnOut<'a>, id: u64, rej: Rejection) {
+        self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        conn.send(Some(id), error_line(Some(id), rej.class, &rej.reason));
+    }
+
+    /// The lifetime totals, emitted as the one terminal `serve` record.
+    /// The gate keeps this line from splicing into a tune span a late
+    /// resolver might still be emitting.
+    fn finish(&self, trace: TraceMode) -> ServeStats {
+        let stats = self.metrics.stats(self.registry.program_stats());
+        let _gate = self.registry.trace_gate();
+        emit(
+            trace,
+            &TuneEvent::Serve(stats.clone()),
+            &mut std::io::stderr().lock(),
+        );
+        stats
+    }
+
     fn metrics_json(&self, op: &str) -> Json {
         let s = self.metrics.stats(self.registry.program_stats());
         let lru = self.registry.program_stats().since(&self.metrics.base_lru);
@@ -600,9 +704,6 @@ impl ServerCtx {
             ("failed".to_string(), Json::Int(s.failed as i64)),
             ("rejected".to_string(), Json::Int(s.rejected as i64)),
             ("clamped".to_string(), Json::Int(s.clamped as i64)),
-            ("batches".to_string(), Json::Int(s.batches as i64)),
-            ("max_batch".to_string(), Json::Int(s.max_batch as i64)),
-            ("mean_batch".to_string(), Json::Num(s.mean_batch)),
             ("p50_ms".to_string(), Json::Num(s.p50_ms)),
             ("p99_ms".to_string(), Json::Num(s.p99_ms)),
             ("lru_hits".to_string(), Json::Int(lru.hits as i64)),
@@ -661,15 +762,13 @@ fn error_line(id: Option<u64>, class: &str, reason: &str) -> String {
     Json::Obj(fields).compact()
 }
 
-/// One connection's reader loop: split the byte stream into lines
+/// One socket connection's reader loop: split the byte stream into lines
 /// (tolerating partial reads — the read timeout exists so the thread
 /// can notice a shutdown), answer admin ops inline, and admit requests.
-fn handle_conn(stream: Stream, ctx: Arc<ServerCtx>) {
+fn handle_conn(stream: Stream, ctx: &ServerCtx<'_>) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let out = match stream.try_clone() {
-        Ok(w) => Arc::new(ConnOut {
-            w: Mutex::new(Box::new(w) as Box<dyn Write + Send>),
-        }),
+        Ok(w) => Arc::new(ConnOut::new(Box::new(w), false)),
         Err(_) => return,
     };
     ctx.conns.fetch_add(1, Ordering::Relaxed);
@@ -689,7 +788,7 @@ fn handle_conn(stream: Stream, ctx: Arc<ServerCtx>) {
                     if line.is_empty() {
                         continue;
                     }
-                    if handle_line(line, &mut next_id, &out, &ctx) {
+                    if handle_line(line, &mut next_id, &out, ctx) {
                         break 'conn;
                     }
                 }
@@ -712,43 +811,46 @@ fn handle_conn(stream: Stream, ctx: Arc<ServerCtx>) {
 
 /// Process one input line; returns `true` when the connection should
 /// close (a `shutdown` op).
-fn handle_line(line: &str, next_id: &mut u64, out: &Arc<ConnOut>, ctx: &Arc<ServerCtx>) -> bool {
-    let doc = match oa_autotune::json::parse(line) {
-        Some(d) => d,
-        None => {
-            let id = *next_id;
-            *next_id += 1;
-            ctx.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            out.send_line(&error_line(Some(id), "parse", "not valid JSON"));
-            return false;
-        }
-    };
-    if let Some(op) = doc.get("op").and_then(Json::as_str) {
-        match op {
-            "metrics" => out.send_line(&ctx.metrics_json("metrics").compact()),
-            "health" => out.send_line(&ctx.health_json().compact()),
+fn handle_line<'a>(
+    line: &str,
+    next_id: &mut u64,
+    out: &Arc<ConnOut<'a>>,
+    ctx: &ServerCtx<'a>,
+) -> bool {
+    let doc = oa_autotune::json::parse(line);
+    let op = doc
+        .as_ref()
+        .and_then(|d| d.get("op"))
+        .and_then(Json::as_str)
+        .filter(|_| !out.one_shot);
+    if let Some(op) = op {
+        let answer = match op {
+            "metrics" => ctx.metrics_json("metrics").compact(),
+            "health" => ctx.health_json().compact(),
             "shutdown" => {
                 ctx.shutdown.store(true, Ordering::SeqCst);
                 ctx.admission.begin_drain();
-                out.send_line(
-                    &Json::Obj(BTreeMap::from([
-                        ("op".to_string(), Json::Str("shutdown".into())),
-                        ("status".to_string(), Json::Str("draining".into())),
-                    ]))
-                    .compact(),
-                );
+                Json::Obj(BTreeMap::from([
+                    ("op".to_string(), Json::Str("shutdown".into())),
+                    ("status".to_string(), Json::Str("draining".into())),
+                ]))
+                .compact()
             }
-            other => out.send_line(&error_line(None, "op", &format!("unknown op `{other}`"))),
-        }
+            other => error_line(None, "op", &format!("unknown op `{other}`")),
+        };
+        out.send(None, answer);
         return false;
     }
     let id = *next_id;
     *next_id += 1;
-    let work = match Work::from_json(&doc) {
-        Ok(w) => w,
-        Err(e) => {
-            ctx.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            out.send_line(&error_line(Some(id), e.class, &e.reason));
+    let work = match doc.as_ref().map(Work::from_json) {
+        Some(Ok(w)) => w,
+        Some(Err(rej)) => {
+            ctx.refuse(out, id, rej);
+            return false;
+        }
+        None => {
+            ctx.refuse(out, id, reject("parse", "not valid JSON"));
             return false;
         }
     };
@@ -759,72 +861,18 @@ fn handle_line(line: &str, next_id: &mut u64, out: &Arc<ConnOut>, ctx: &Arc<Serv
         conn: out.clone(),
         admitted_at: Instant::now(),
     };
-    match ctx.admission.push(&tenant, pending) {
+    let admitted = if out.one_shot {
+        ctx.admission.push_wait(&tenant, pending)
+    } else {
+        ctx.admission.push(&tenant, pending)
+    };
+    match admitted {
         Ok(()) => {
             ctx.metrics.admitted.fetch_add(1, Ordering::Relaxed);
         }
-        Err(rej) => {
-            ctx.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            out.send_line(&error_line(Some(id), rej.class, &rej.reason));
-        }
+        Err(rej) => ctx.refuse(out, id, rej),
     }
     false
-}
-
-/// Dispatch one coalesced group to the worker pool.
-fn dispatch_group(
-    ctx: &Arc<ServerCtx>,
-    pool: &Pool,
-    jobs: &Arc<(Mutex<usize>, Condvar)>,
-    trace: TraceMode,
-    items: Vec<Pending>,
-) {
-    ctx.metrics.note_batch(items.len());
-    *jobs.0.lock().expect("unpoisoned job counter") += 1;
-    let ctx = ctx.clone();
-    let jobs = jobs.clone();
-    pool.spawn(move || {
-        let mut obs = stderr_observer(trace);
-        // A group's key is homogeneous, but resolve generically: singles
-        // run through the shared-compile group path, each DAG runs as
-        // one indivisible unit through the fusion registry.
-        let single_reqs: Vec<Request> = items
-            .iter()
-            .filter_map(|p| match &p.work {
-                Work::Single(r) => Some(r.clone()),
-                Work::Dag(_) => None,
-            })
-            .collect();
-        let mut single_outcomes = ctx
-            .registry
-            .run_group_observed(&single_reqs, &mut obs)
-            .into_iter();
-        for p in &items {
-            let latency_ms = p.admitted_at.elapsed().as_secs_f64() * 1e3;
-            let (line, ok, clamped) = match &p.work {
-                Work::Single(_) => {
-                    let outcome = single_outcomes.next().expect("one outcome per single");
-                    let (ok, clamped) = match &outcome.status {
-                        crate::dispatch::RequestStatus::Ok(o) => (true, o.clamped),
-                        crate::dispatch::RequestStatus::Failed { .. } => (false, false),
-                    };
-                    (outcome.to_json(p.id as usize).compact(), ok, clamped)
-                }
-                Work::Dag(d) => {
-                    let outcome = ctx.registry.run_dag_observed(d, &mut obs);
-                    let ok = matches!(outcome.status, DagStatus::Ok(_));
-                    (outcome.to_json(p.id as usize).compact(), ok, false)
-                }
-            };
-            ctx.metrics
-                .note_outcome(p.work.tenant_name(), ok, clamped, latency_ms);
-            p.conn.send_line(&line);
-            ctx.admission.complete(p.work.tenant_name());
-        }
-        let (lock, cv) = &*jobs;
-        *lock.lock().expect("unpoisoned job counter") -= 1;
-        cv.notify_all();
-    });
 }
 
 /// A running server.  Dropping the handle does **not** stop it; call
@@ -832,7 +880,7 @@ fn dispatch_group(
 /// connection and join).
 pub struct Server {
     addr: String,
-    ctx: Arc<ServerCtx>,
+    shutdown: Arc<AtomicBool>,
     handle: std::thread::JoinHandle<ServeStats>,
 }
 
@@ -846,9 +894,8 @@ impl Server {
     /// admitted) and block until the server exits, returning its
     /// lifetime totals.
     pub fn shutdown_and_join(self) -> ServeStats {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
-        self.ctx.admission.begin_drain();
-        self.handle.join().expect("server thread panicked")
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.join()
     }
 
     /// Block until the server exits on its own (a client `shutdown` op).
@@ -872,278 +919,98 @@ pub fn spawn_server(
     trace: TraceMode,
 ) -> Server {
     let addr = listener.local_addr();
-    let base_lru = registry.program_stats();
-    let ctx = Arc::new(ServerCtx {
-        registry,
-        admission: Admission::new(cfg.queue_cap, cfg.tenant_quota),
-        metrics: Metrics::new(cfg.latency_window, base_lru),
-        shutdown: AtomicBool::new(false),
-        threads: cfg.threads.max(1),
-        conns: AtomicU64::new(0),
-    });
-
-    // Accept loop: non-blocking so it can observe the shutdown flag.
-    let accept_ctx = ctx.clone();
-    let accept = std::thread::spawn(move || {
-        let unix_path = match &listener {
-            Listener::Unix(_, p) => Some(p.clone()),
-            Listener::Tcp(_) => None,
-        };
-        let set_nonblocking = match &listener {
-            Listener::Tcp(l) => l.set_nonblocking(true),
-            Listener::Unix(l, _) => l.set_nonblocking(true),
-        };
-        if set_nonblocking.is_err() {
-            return;
-        }
-        while !accept_ctx.shutdown.load(Ordering::SeqCst) {
-            let accepted = match &listener {
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-                Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let flag = shutdown.clone();
+    let handle = std::thread::spawn(move || {
+        let ctx = ServerCtx::new(&registry, &cfg, flag);
+        std::thread::scope(|s| {
+            ctx.spawn_workers(s, trace);
+            // Accept loop: non-blocking so it can observe the shutdown
+            // flag; a failed accept is retried on the next poll.
+            let nonblocking = match &listener {
+                Listener::Tcp(l) => l.set_nonblocking(true),
+                Listener::Unix(l, _) => l.set_nonblocking(true),
             };
-            match accepted {
-                Ok(stream) => {
-                    let conn_ctx = accept_ctx.clone();
-                    std::thread::spawn(move || handle_conn(stream, conn_ctx));
+            while nonblocking.is_ok() && !ctx.shutdown.load(Ordering::SeqCst) {
+                let accepted = match &listener {
+                    Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+                    Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
+                };
+                match accepted {
+                    Ok(stream) => {
+                        let ctx = &ctx;
+                        s.spawn(move || handle_conn(stream, ctx));
+                    }
+                    Err(_) => std::thread::sleep(POLL_INTERVAL),
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(_) => break,
             }
-        }
-        if let Some(p) = unix_path {
+            ctx.admission.begin_drain();
+        });
+        if let Listener::Unix(_, p) = &listener {
             let _ = std::fs::remove_file(p);
         }
+        ctx.finish(trace)
     });
-
-    // Scheduler: admission → coalescer → worker pool, then drain.
-    let sched_ctx = ctx.clone();
-    let handle = std::thread::spawn(move || {
-        let ctx = sched_ctx;
-        let pool = Pool::new(ctx.threads);
-        let jobs: Arc<(Mutex<usize>, Condvar)> = Arc::new((Mutex::new(0), Condvar::new()));
-        let mut coal: Coalescer<(String, i64), Pending> =
-            Coalescer::new(cfg.batch_max, cfg.batch_window);
-        loop {
-            while let Some(p) = ctx.admission.pop() {
-                coal.push(p.work.coalesce_key(), p, Instant::now());
-            }
-            while let Some((_k, items)) = coal.pop_ready(Instant::now()) {
-                dispatch_group(&ctx, &pool, &jobs, trace, items);
-            }
-            if ctx.shutdown.load(Ordering::SeqCst) {
-                ctx.admission.begin_drain();
-                while let Some(p) = ctx.admission.pop() {
-                    coal.push(p.work.coalesce_key(), p, Instant::now());
-                }
-                while let Some((_k, items)) = coal.pop_oldest() {
-                    dispatch_group(&ctx, &pool, &jobs, trace, items);
-                }
-                break;
-            }
-            let now = Instant::now();
-            let sleep = coal
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(now))
-                .unwrap_or(POLL_INTERVAL)
-                .min(POLL_INTERVAL);
-            if sleep > Duration::ZERO {
-                ctx.admission.wait_for_work(sleep);
-            }
-        }
-        // Wait for every dispatched group to finish, then stop the pool.
-        {
-            let (lock, cv) = &*jobs;
-            let mut count = lock.lock().expect("unpoisoned job counter");
-            while *count > 0 {
-                count = cv.wait(count).expect("unpoisoned job counter");
-            }
-        }
-        drop(pool);
-        let stats = ctx.metrics.stats(ctx.registry.program_stats());
-        {
-            // The gate keeps this multi-field (single-line) record from
-            // splicing into any tune a stray late resolver might emit.
-            let _gate = ctx.registry.trace_gate();
-            emit(
-                trace,
-                &TuneEvent::Serve(stats.clone()),
-                &mut std::io::stderr().lock(),
-            );
-        }
-        let _ = accept.join();
-        stats
-    });
-
-    Server { addr, ctx, handle }
+    Server {
+        addr,
+        shutdown,
+        handle,
+    }
 }
 
-// ---------------------------------------------------------------------
-// Streaming one-shot mode
-// ---------------------------------------------------------------------
-
-/// Serve a JSONL request stream **incrementally**: lines are parsed as
-/// they arrive, executed by `threads` workers, and each result line is
-/// written (in submission order) and flushed as soon as it is ready —
-/// a slow producer piping requests in sees results flow, not silence
-/// until EOF.
+/// Serve a JSONL request stream: the server above with `input` →
+/// `output` as its only connection.  Lines are admitted as they arrive
+/// (waiting for room when the queue is full), executed by `threads`
+/// workers, and each answer is written in submission order and flushed
+/// as soon as it and everything before it is ready — a slow producer
+/// piping requests in sees results flow, not silence until EOF.
 ///
 /// Invalid lines become structured `{"status":"error","class":"parse"}`
-/// results (counted as failed) instead of aborting the stream.  One
-/// terminal [`TuneEvent::Batch`] is emitted through `obs` with the run's
-/// accounting, which is also returned.
+/// answers (counted as rejected) instead of aborting the stream.  The
+/// run ends on the same terminal [`TuneEvent::Serve`] record as the
+/// listening server; its totals are also returned.
 pub fn serve_stream(
     registry: &Registry,
     input: &mut dyn BufRead,
     output: &mut (dyn Write + Send),
     threads: usize,
     trace: TraceMode,
-) -> Result<BatchStats, String> {
-    let threads = threads.max(1);
-    let before = registry.program_stats();
-    let t0 = Instant::now();
-    let ok_count = AtomicUsize::new(0);
-    let failed_count = AtomicUsize::new(0);
-    let mut submitted = 0usize;
-    let io_err: Mutex<Option<String>> = Mutex::new(None);
-
-    std::thread::scope(|s| {
-        let (tx_req, rx_req) = mpsc::sync_channel::<(usize, Work)>(threads * 4);
-        let (tx_out, rx_out) = mpsc::channel::<(usize, String)>();
-        let rx_req = Arc::new(Mutex::new(rx_req));
-
-        // Workers: pull requests, execute, hand the rendered line to the
-        // order-restoring writer.  Tuning events go straight to stderr;
-        // the registry's trace gate keeps concurrent tune spans whole.
-        for _ in 0..threads {
-            let rx_req = rx_req.clone();
-            let tx_out = tx_out.clone();
-            let ok_count = &ok_count;
-            let failed_count = &failed_count;
-            s.spawn(move || {
-                let mut obs = stderr_observer(trace);
-                loop {
-                    let job = rx_req.lock().expect("unpoisoned channel").recv();
-                    let (id, work) = match job {
-                        Ok(j) => j,
-                        Err(_) => break,
-                    };
-                    let (line, ok) = match work {
-                        Work::Single(req) => {
-                            let outcome = registry.run_one_observed(&req, &mut obs);
-                            let ok =
-                                matches!(outcome.status, crate::dispatch::RequestStatus::Ok(_));
-                            (outcome.to_json(id).compact(), ok)
-                        }
-                        Work::Dag(dag) => {
-                            let outcome = registry.run_dag_observed(&dag, &mut obs);
-                            let ok = matches!(outcome.status, DagStatus::Ok(_));
-                            (outcome.to_json(id).compact(), ok)
-                        }
-                    };
-                    if ok {
-                        ok_count.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        failed_count.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if tx_out.send((id, line)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-
-        // Writer: restore submission order with a reorder buffer and
-        // flush per line — the incremental-output contract.
-        let writer = s.spawn(move || -> Result<(), String> {
-            let mut pendingq: BTreeMap<usize, String> = BTreeMap::new();
-            let mut next = 0usize;
-            while let Ok((id, line)) = rx_out.recv() {
-                pendingq.insert(id, line);
-                while let Some(line) = pendingq.remove(&next) {
-                    writeln!(output, "{line}").map_err(|e| format!("output: {e}"))?;
-                    output.flush().map_err(|e| format!("output: {e}"))?;
-                    next += 1;
-                }
-            }
-            Ok(())
-        });
-
-        // Reader (this thread): split lines, parse, feed the workers.
+) -> Result<ServeStats, String> {
+    let conn = Arc::new(ConnOut::new(Box::new(output), true));
+    let cfg = ServeConfig {
+        threads,
+        ..ServeConfig::default()
+    };
+    let ctx = ServerCtx::new(registry, &cfg, Arc::default());
+    let read = std::thread::scope(|s| {
+        ctx.spawn_workers(s, trace);
         let mut line = String::new();
-        loop {
+        let mut next_id = 0u64;
+        let read = loop {
             line.clear();
             match input.read_line(&mut line) {
-                Ok(0) => break,
+                Ok(0) => break Ok(()),
                 Ok(_) => {}
-                Err(e) => {
-                    *io_err.lock().expect("unpoisoned error slot") = Some(format!("input: {e}"));
-                    break;
-                }
+                Err(e) => break Err(format!("input: {e}")),
             }
             let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
+            if !trimmed.is_empty() {
+                handle_line(trimmed, &mut next_id, &conn, &ctx);
             }
-            let id = submitted;
-            submitted += 1;
-            let parsed = match oa_autotune::json::parse(trimmed) {
-                Some(doc) => Work::from_json(&doc),
-                None => Err(reject("parse", "not valid JSON")),
-            };
-            match parsed {
-                Ok(work) => {
-                    if tx_req.send((id, work)).is_err() {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    failed_count.fetch_add(1, Ordering::Relaxed);
-                    if tx_out
-                        .send((id, error_line(Some(id as u64), e.class, &e.reason)))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
+            // A closed output ends the run: nobody reads further answers.
+            if conn.error().is_some() {
+                break Ok(());
             }
-        }
-        drop(tx_req);
-        drop(tx_out);
-        if let Err(e) = writer.join().expect("writer thread panicked") {
-            let mut slot = io_err.lock().expect("unpoisoned error slot");
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
+        };
+        ctx.admission.begin_drain();
+        read
     });
-
-    if let Some(e) = io_err.into_inner().expect("unpoisoned error slot") {
-        return Err(e);
+    let stats = ctx.finish(trace);
+    read?;
+    match conn.error() {
+        Some(e) => Err(e),
+        None => Ok(stats),
     }
-    let wall = t0.elapsed().as_secs_f64();
-    let delta = registry.program_stats().since(&before);
-    let stats = BatchStats {
-        requests: submitted,
-        ok: ok_count.into_inner(),
-        failed: failed_count.into_inner(),
-        hits: delta.hits,
-        misses: delta.misses,
-        evictions: delta.evictions,
-        threads: threads.min(submitted.max(1)),
-        wall_ms: wall * 1e3,
-        requests_per_sec: submitted as f64 / wall.max(1e-9),
-    };
-    {
-        let _gate = registry.trace_gate();
-        emit(
-            trace,
-            &TuneEvent::Batch(stats),
-            &mut std::io::stderr().lock(),
-        );
-    }
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -1178,6 +1045,7 @@ mod tests {
         }
         adm.push("a", "a1").unwrap();
         adm.push("b", "b1").unwrap();
+        adm.begin_drain();
         let order: Vec<&str> = std::iter::from_fn(|| adm.pop()).collect();
         // Round-robin: each tenant yields one per cycle, so `a1` and
         // `b1` surface long before the flood drains.
@@ -1231,7 +1099,84 @@ mod tests {
         let c = ServeConfig::default();
         assert!(c.threads >= 1);
         assert!(c.queue_cap >= 1);
-        assert!(c.batch_max >= 1);
+        assert!(c.tenant_quota >= 1);
+    }
+
+    /// A `Write` fake that counts `write` calls.
+    struct CountingWriter {
+        writes: Arc<AtomicUsize>,
+        bytes: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            self.bytes.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn counting_conn(one_shot: bool) -> (ConnOut<'static>, Arc<AtomicUsize>, Arc<Mutex<Vec<u8>>>) {
+        let writes = Arc::new(AtomicUsize::new(0));
+        let bytes = Arc::new(Mutex::new(Vec::new()));
+        let w = CountingWriter {
+            writes: writes.clone(),
+            bytes: bytes.clone(),
+        };
+        (ConnOut::new(Box::new(w), one_shot), writes, bytes)
+    }
+
+    #[test]
+    fn each_answer_is_one_write() {
+        // A line and its newline in separate writes make a Nagle socket
+        // hold the newline until the client's delayed ACK (~40 ms).
+        let (conn, writes, bytes) = counting_conn(false);
+        conn.send(Some(0), "{\"id\":0}".into());
+        conn.send(None, "{\"op\":\"health\"}".into());
+        conn.send(Some(1), "{\"id\":1}".into());
+        assert_eq!(writes.load(Ordering::SeqCst), 3);
+        assert_eq!(
+            String::from_utf8(bytes.lock().unwrap().clone()).unwrap(),
+            "{\"id\":0}\n{\"op\":\"health\"}\n{\"id\":1}\n"
+        );
+    }
+
+    #[test]
+    fn one_shot_connection_writes_in_submission_order() {
+        let (conn, writes, bytes) = counting_conn(true);
+        conn.send(Some(2), "c".into());
+        conn.send(Some(1), "b".into());
+        assert_eq!(writes.load(Ordering::SeqCst), 0, "held until id 0 is ready");
+        conn.send(Some(0), "a".into());
+        conn.send(Some(3), "d".into());
+        assert_eq!(writes.load(Ordering::SeqCst), 4, "one write per line");
+        assert_eq!(bytes.lock().unwrap().as_slice(), b"a\nb\nc\nd\n");
+    }
+
+    #[test]
+    fn push_wait_blocks_for_room_instead_of_refusing() {
+        let adm: Arc<Admission<u32>> = Arc::new(Admission::new(1, 10));
+        adm.push("t", 1).unwrap();
+        assert_eq!(adm.push("t", 2).unwrap_err().class, "admission/overload");
+        let waiter = {
+            let adm = adm.clone();
+            std::thread::spawn(move || adm.push_wait("t", 2))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(adm.len(), 1, "the waiting push must not overfill the queue");
+        assert_eq!(adm.pop(), Some(1));
+        waiter.join().unwrap().unwrap();
+        assert_eq!(adm.pop(), Some(2));
+        // Draining wakes idle workers with `None` and refuses waiters.
+        adm.begin_drain();
+        assert_eq!(adm.pop(), None);
+        assert_eq!(
+            adm.push_wait("t", 3).unwrap_err().class,
+            "admission/shutdown"
+        );
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! `Matrix::fill_pseudo` — re-exported here so tests stop carrying
 //! copy-pasted constants.
 
-use crate::dispatch::Request;
+use crate::dispatch::{Registry, Request};
+use crate::trace::TraceMode;
+use oa_autotune::json::{self, Json};
+use oa_autotune::report::ServeStats;
 use oa_blas3::types::RoutineId;
 pub use oa_loopir::interp::Lcg;
 
@@ -53,6 +56,32 @@ pub fn mixed_requests(count: usize, seed: u64) -> Vec<Request> {
 /// per machine instead of once per binary.
 pub fn shared_tune_cache_path() -> std::path::PathBuf {
     std::env::temp_dir().join("oa-dispatch-tests-cache-v1.json")
+}
+
+/// Serve `reqs` through the one-shot `oa serve` path
+/// ([`crate::serve_stream`]) on `threads` workers: the answer lines in
+/// submission order, and the run's totals.
+pub fn serve_requests(
+    registry: &Registry,
+    reqs: &[Request],
+    threads: usize,
+) -> (Vec<Json>, ServeStats) {
+    let input: String = reqs.iter().map(|r| r.to_json().compact() + "\n").collect();
+    let mut out = Vec::new();
+    let stats = crate::serve_stream(
+        registry,
+        &mut input.as_bytes(),
+        &mut out,
+        threads,
+        TraceMode::Off,
+    )
+    .expect("in-memory serve");
+    let answers = String::from_utf8(out)
+        .expect("UTF-8 answers")
+        .lines()
+        .map(|l| json::parse(l).expect("JSON answer line"))
+        .collect();
+    (answers, stats)
 }
 
 #[cfg(test)]

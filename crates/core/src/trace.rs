@@ -176,18 +176,6 @@ pub fn event_json(e: &TuneEvent) -> Json {
             ("skipped", Json::Int(*skipped as i64)),
             ("winner_gflops", opt_num(*winner_gflops)),
         ]),
-        TuneEvent::Batch(b) => obj(vec![
-            ("event", Json::Str("batch".into())),
-            ("requests", Json::Int(b.requests as i64)),
-            ("ok", Json::Int(b.ok as i64)),
-            ("failed", Json::Int(b.failed as i64)),
-            ("hits", Json::Int(b.hits as i64)),
-            ("misses", Json::Int(b.misses as i64)),
-            ("evictions", Json::Int(b.evictions as i64)),
-            ("threads", Json::Int(b.threads as i64)),
-            ("wall_ms", Json::Num(b.wall_ms)),
-            ("requests_per_sec", Json::Num(b.requests_per_sec)),
-        ]),
         TuneEvent::Serve(s) => obj(vec![
             ("event", Json::Str("serve".into())),
             ("admitted", Json::Int(s.admitted as i64)),
@@ -196,9 +184,6 @@ pub fn event_json(e: &TuneEvent) -> Json {
             ("failed", Json::Int(s.failed as i64)),
             ("rejected", Json::Int(s.rejected as i64)),
             ("clamped", Json::Int(s.clamped as i64)),
-            ("batches", Json::Int(s.batches as i64)),
-            ("max_batch", Json::Int(s.max_batch as i64)),
-            ("mean_batch", Json::Num(s.mean_batch)),
             ("p50_ms", Json::Num(s.p50_ms)),
             ("p99_ms", Json::Num(s.p99_ms)),
             ("hits", Json::Int(s.hits as i64)),
@@ -317,31 +302,14 @@ pub fn event_pretty(e: &TuneEvent) -> String {
              {skipped} skipped{}",
             winner_gflops.map_or(String::new(), |g| format!(" — winner {g:.1} GFLOPS"))
         ),
-        TuneEvent::Batch(b) => format!(
-            "batch {} requests ({} ok, {} failed) on {} thread(s): \
-             {} hits, {} misses, {} evictions, {:.1} ms ({:.0} req/s)",
-            b.requests,
-            b.ok,
-            b.failed,
-            b.threads,
-            b.hits,
-            b.misses,
-            b.evictions,
-            b.wall_ms,
-            b.requests_per_sec
-        ),
         TuneEvent::Serve(s) => format!(
-            "serve {} admitted ({} ok, {} failed, {} rejected, {} clamped) in \
-             {} batch(es, max {}, mean {:.1}): p50 {:.2} ms, p99 {:.2} ms, \
-             {} hits, {} misses, {} tenant(s), {:.1} ms up",
+            "serve {} admitted ({} ok, {} failed, {} rejected, {} clamped): \
+             p50 {:.2} ms, p99 {:.2} ms, {} hits, {} misses, {} tenant(s), {:.1} ms up",
             s.admitted,
             s.ok,
             s.failed,
             s.rejected,
             s.clamped,
-            s.batches,
-            s.max_batch,
-            s.mean_batch,
             s.p50_ms,
             s.p99_ms,
             s.hits,
@@ -416,15 +384,12 @@ pub fn stderr_observer(mode: TraceMode) -> impl FnMut(TuneEvent) {
 ///   `evaluated` = the won + lost candidate lines, skipped candidates
 ///   only appear when a `model` line announced the ranking, and exactly
 ///   one candidate won when anything was evaluated;
-/// * `batch` lines (the dispatch executor's accounting) sit between
-///   tunes, their `ok + failed` equals `requests`, and their
-///   `hits + misses` never exceeds `requests` (each resolved request
-///   performs exactly one program-store lookup);
-/// * `serve` lines (the persistent server's end-of-life record) sit
-///   between tunes, `ok + failed = completed = admitted` (the event is
-///   emitted after the graceful drain), latency percentiles are ordered
-///   (`p50 <= p99`), `hits + misses` never exceeds `completed`, and any
-///   completed work implies at least one dispatched batch;
+/// * `serve` lines (the end-of-life record of either `oa serve` mode)
+///   sit between tunes, `ok + failed = completed = admitted` (the event
+///   is emitted after the graceful drain), latency percentiles are
+///   ordered (`p50 <= p99`), and `hits + misses` never exceeds
+///   `completed` (each resolved request performs exactly one
+///   program-store lookup);
 /// * `native_coverage` lines (the bench harness's native-tier
 ///   accounting) name a routine and cannot count entries without a
 ///   lowered region.
@@ -434,7 +399,6 @@ pub fn check_stream(text: &str) -> Result<String, String> {
     const OUTCOMES: [&str; 6] = ["won", "lost", "pruned", "skipped", "degenerated", "errored"];
     let mut tunes = 0usize;
     let mut replays = 0usize;
-    let mut batches = 0usize;
     let mut serves = 0usize;
     let mut models = 0usize;
     let mut fuses = 0usize;
@@ -676,32 +640,6 @@ pub fn check_stream(text: &str) -> Result<String, String> {
                     )));
                 }
             }
-            "batch" => {
-                if in_tune {
-                    return Err(at("`batch` inside a tune (before its `summary`)".into()));
-                }
-                batches += 1;
-                let field = |k: &str| {
-                    doc.get(k)
-                        .and_then(Json::as_i64)
-                        .ok_or_else(|| at(format!("batch missing `{k}`")))
-                };
-                let requests = field("requests")?;
-                let ok = field("ok")?;
-                let failed = field("failed")?;
-                let hits = field("hits")?;
-                let misses = field("misses")?;
-                if ok + failed != requests {
-                    return Err(at(format!(
-                        "batch buckets don't add up: {ok} + {failed} != {requests}"
-                    )));
-                }
-                if hits + misses > requests {
-                    return Err(at(format!(
-                        "batch counts {hits} hits + {misses} misses for {requests} requests"
-                    )));
-                }
-            }
             "serve" => {
                 if in_tune {
                     return Err(at("`serve` inside a tune (before its `summary`)".into()));
@@ -718,7 +656,6 @@ pub fn check_stream(text: &str) -> Result<String, String> {
                 let failed = field("failed")?;
                 let hits = field("hits")?;
                 let misses = field("misses")?;
-                let batch_count = field("batches")?;
                 if ok + failed != completed {
                     return Err(at(format!(
                         "serve buckets don't add up: {ok} + {failed} != {completed}"
@@ -732,11 +669,6 @@ pub fn check_stream(text: &str) -> Result<String, String> {
                 if hits + misses > completed {
                     return Err(at(format!(
                         "serve counts {hits} hits + {misses} misses for {completed} completed"
-                    )));
-                }
-                if completed > 0 && batch_count == 0 {
-                    return Err(at(format!(
-                        "serve completed {completed} request(s) with no dispatched batch"
                     )));
                 }
                 let num = |k: &str| {
@@ -758,12 +690,12 @@ pub fn check_stream(text: &str) -> Result<String, String> {
     if in_tune {
         return Err("stream ends inside a tune (no terminal `summary`)".to_string());
     }
-    if tunes == 0 && replays == 0 && batches == 0 && serves == 0 {
-        return Err("stream contains no `begin`, `replayed`, `batch` or `serve` event".to_string());
+    if tunes == 0 && replays == 0 && serves == 0 {
+        return Err("stream contains no `begin`, `replayed` or `serve` event".to_string());
     }
     Ok(format!(
-        "trace ok: {tunes} tune(s), {replays} replay(s), {batches} batch(es), \
-         {serves} serve(s), {models} model ranking(s), {fuses} fuse plan(s), \
+        "trace ok: {tunes} tune(s), {replays} replay(s), {serves} serve(s), \
+         {models} model ranking(s), {fuses} fuse plan(s), \
          every candidate terminal"
     ))
 }
@@ -874,48 +806,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_events_render_and_validate() {
-        let stats = oa_autotune::report::BatchStats {
-            requests: 8,
-            ok: 7,
-            failed: 1,
-            hits: 5,
-            misses: 2,
-            evictions: 1,
-            threads: 4,
-            wall_ms: 12.5,
-            requests_per_sec: 640.0,
-        };
-        let e = TuneEvent::Batch(stats);
-        let line = event_json(&e).compact();
-        assert!(line.contains("\"event\":\"batch\""));
-        assert!(line.contains("\"requests\":8"));
-        assert!(event_pretty(&e).contains("5 hits"));
-
-        // A batch-only stream is a valid trace (the serve smoke path).
-        let report = check_stream(&format!("{line}\n")).unwrap();
-        assert!(report.contains("1 batch(es)"), "{report}");
-
-        // ok + failed must equal requests...
-        let bad = line.replace("\"ok\":7", "\"ok\":8");
-        assert!(check_stream(&bad).unwrap_err().contains("add up"));
-        // ...and hits + misses must not exceed requests.
-        let bad = line.replace("\"hits\":5", "\"hits\":50");
-        assert!(check_stream(&bad).unwrap_err().contains("hits"));
-    }
-
-    #[test]
     fn serve_events_render_and_validate() {
-        let stats = oa_autotune::report::ServeStats {
+        use oa_autotune::report::ServeStats;
+        let stats = ServeStats {
             admitted: 32,
             completed: 32,
             ok: 30,
             failed: 2,
             rejected: 4,
             clamped: 6,
-            batches: 5,
-            max_batch: 12,
-            mean_batch: 6.4,
             p50_ms: 1.2,
             p99_ms: 9.5,
             hits: 28,
@@ -945,12 +844,21 @@ mod tests {
         // ...percentiles are ordered...
         let bad = line.replace("\"p50_ms\":1.2", "\"p50_ms\":99.0");
         assert!(check_stream(&bad).unwrap_err().contains("percentiles"));
-        // ...completed work needs at least one batch...
-        let bad = line.replace("\"batches\":5", "\"batches\":0");
-        assert!(check_stream(&bad).unwrap_err().contains("batch"));
         // ...and lookups never exceed completed requests.
         let bad = line.replace("\"hits\":28", "\"hits\":280");
         assert!(check_stream(&bad).unwrap_err().contains("hits"));
+
+        // A one-shot run whose every line was refused (parse errors never
+        // reach admission) is a valid record too.
+        let refused = ServeStats {
+            rejected: 3,
+            ..ServeStats::default()
+        };
+        let refused = event_json(&TuneEvent::Serve(refused)).compact();
+        assert!(check_stream(&format!("{refused}\n")).is_ok());
+        // The retired per-run `batch` record is no longer a known event.
+        let batch = r#"{"event":"batch","requests":1,"ok":1,"failed":0,"hits":1,"misses":0}"#;
+        assert!(check_stream(batch).unwrap_err().contains("unknown event"));
 
         // A serve line inside an open tune is malformed.
         let begin =
@@ -979,17 +887,17 @@ mod tests {
         assert!(line.contains("\"store-shape\":2"));
         assert!(event_pretty(&e).contains("store-shape×2"));
 
-        // Standalone coverage lines pass alongside a batch event …
-        let batch = r#"{"event":"batch","requests":1,"ok":1,"failed":0,"hits":1,"misses":0,"evictions":0,"threads":1,"wall_ms":1.0,"requests_per_sec":1.0}"#;
-        assert!(check_stream(&format!("{batch}\n{line}\n")).is_ok());
+        // Standalone coverage lines pass alongside a serve event …
+        let serve = event_json(&TuneEvent::Serve(Default::default())).compact();
+        assert!(check_stream(&format!("{serve}\n{line}\n")).is_ok());
         // … but entries without any lowered region are a violation.
         let bad = line.replace("\"regions\":1", "\"regions\":0");
-        assert!(check_stream(&format!("{batch}\n{bad}\n"))
+        assert!(check_stream(&format!("{serve}\n{bad}\n"))
             .unwrap_err()
             .contains("no lowered region"));
         // A loop record replays at least one instance.
         let bad = line.replace("\"instances\":48", "\"instances\":2");
-        assert!(check_stream(&format!("{batch}\n{bad}\n"))
+        assert!(check_stream(&format!("{serve}\n{bad}\n"))
             .unwrap_err()
             .contains("loop records"));
     }

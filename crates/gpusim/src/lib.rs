@@ -18,9 +18,9 @@
 //!   specialized host SIMD microkernels, interpreter fallback elsewhere;
 //! * [`engine`] — selection among the three engines
 //!   (`OA_EXEC_ENGINE=oracle|bytecode|native`, default native);
-//! * [`dispatch`] — batched-execution building blocks: compile-once
-//!   programs, the bounded LRU program store, and the shared-queue worker
-//!   pool behind `oa_core::dispatch`'s routine registry;
+//! * [`dispatch`] — serving building blocks: compile-once programs and
+//!   the bounded LRU program store behind `oa_core::dispatch`'s routine
+//!   registry;
 //! * [`events`] — per-warp coalescing and bank-conflict classification;
 //! * [`perf`] — the sampled performance model producing GFLOPS estimates
 //!   and `cuda_profile`-style counters ([`profile`]).
@@ -48,7 +48,7 @@ pub mod vexec;
 pub use bytecode::ByteCode;
 pub use cudagen::to_cuda_source;
 pub use device::{ComputeCapability, DeviceSpec};
-pub use dispatch::{run_jobs, Coalescer, CompiledProgram, Lru, LruStats, Pool};
+pub use dispatch::{CompiledProgram, Lru, LruStats};
 pub use engine::{
     exec_all_engines, exec_program_fast, exec_program_on, select as select_engine, ExecEngine,
 };
@@ -57,3 +57,7 @@ pub use launch::{extract_launch, Launch, LaunchError};
 pub use native::{NativeCoverage, NativeProgram, NativeReject};
 pub use perf::{evaluate, EvalError, PerfReport};
 pub use profile::ProfileCounters;
+/// Run a closure with the engines' block-parallel regions inline: for
+/// callers that own the machine's parallelism, like `oa serve`'s
+/// request workers.
+pub use rayon::in_place;

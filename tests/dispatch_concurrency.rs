@@ -1,26 +1,36 @@
-//! Concurrency stress test for the batched dispatch executor.
+//! Concurrency stress test for request dispatch through `oa serve`.
 //!
-//! One mixed-routine batch is executed repeatedly — different worker
-//! counts, different submission orders, bounded and unbounded program
-//! stores — and every run must agree *per request*: identical status,
-//! identical digest, identical output buffer.  Scheduling, claim order,
-//! LRU races (two workers compiling the same key) and evictions must
-//! never leak into results; only throughput and hit rates may move.
+//! One mixed-routine request stream is served repeatedly through the
+//! one-shot path — different worker counts, different submission orders,
+//! bounded and unbounded program stores — and every run must agree *per
+//! request*: identical status, identical digest, identical output buffer.
+//! Scheduling, claim order, LRU races (two workers compiling the same
+//! key) and evictions must never leak into results; only throughput and
+//! hit rates may move.
 
-use oa_core::dispatch::{Registry, Request, RequestOutcome, RequestStatus};
-use oa_core::testutil::{mixed_requests, shared_tune_cache_path, Lcg};
+use oa_core::autotune::json::Json;
+use oa_core::dispatch::{Registry, Request};
+use oa_core::testutil::{mixed_requests, serve_requests, shared_tune_cache_path, Lcg};
 use oa_core::DeviceSpec;
 use std::collections::HashMap;
 
-/// The comparable part of an outcome: status class, digest, output —
-/// everything except timing and cache provenance (those legitimately
-/// vary run to run).
-fn fingerprint(o: &RequestOutcome) -> (Request, String) {
-    let status = match &o.status {
-        RequestStatus::Ok(ok) => format!("ok {} {:016x}", ok.output, ok.digest),
-        RequestStatus::Failed { class, reason } => format!("failed {class}: {reason}"),
+/// The request an answer line belongs to.
+fn request_key(r: &Request) -> String {
+    format!("{} n={} seed={}", r.routine.name(), r.n, r.seed)
+}
+
+/// The comparable part of an answer line: the request it answers, and
+/// its status class, digest and output — everything except timing and
+/// cache provenance (those legitimately vary run to run).
+fn fingerprint(answer: &Json) -> (String, String) {
+    let s = |k: &str| answer.get(k).and_then(Json::as_str).unwrap_or_default();
+    let i = |k: &str| answer.get(k).and_then(Json::as_i64).unwrap_or(-1);
+    let request = format!("{} n={} seed={}", s("routine"), i("n"), i("seed"));
+    let status = match s("status") {
+        "ok" => format!("ok {} {}", s("output"), s("digest")),
+        _ => format!("failed {}: {}", s("class"), s("reason")),
     };
-    (o.request.clone(), status)
+    (request, status)
 }
 
 /// A deterministic in-place shuffle (Fisher–Yates on the shared LCG).
@@ -39,9 +49,8 @@ fn batches_are_deterministic_across_threads_orders_and_capacities() {
 
     // Reference: fully sequential, unbounded store.
     let reference = Registry::new(device.clone()).with_tune_cache(shared_tune_cache_path());
-    let expected: HashMap<Request, String> = reference
-        .run_batch(&base, 1, &mut |_| {})
-        .outcomes
+    let expected: HashMap<String, String> = serve_requests(&reference, &base, 1)
+        .0
         .iter()
         .map(fingerprint)
         .collect();
@@ -50,7 +59,7 @@ fn batches_are_deterministic_across_threads_orders_and_capacities() {
     for (threads, order_seed, capacity) in [
         (8usize, 0u64, None), // 8 workers, submission order
         (8, 0x5EED, None),    // 8 workers, shuffled
-        (3, 0x5EED, Some(4)), // odd pool + tiny LRU (evicts constantly)
+        (3, 0x5EED, Some(4)), // odd worker count + tiny LRU (evicts constantly)
         (2, 0xABCD, Some(1)), // degenerate LRU: every request a miss
     ] {
         let mut reqs = base.clone();
@@ -58,18 +67,18 @@ fn batches_are_deterministic_across_threads_orders_and_capacities() {
         let registry = Registry::new(device.clone())
             .with_capacity(capacity)
             .with_tune_cache(shared_tune_cache_path());
-        let report = registry.run_batch(&reqs, threads, &mut |_| {});
+        let (answers, stats) = serve_requests(&registry, &reqs, threads);
         let ctx = format!("threads={threads} order={order_seed:#x} capacity={capacity:?}");
 
-        assert_eq!(report.outcomes.len(), reqs.len(), "{ctx}");
-        assert_eq!(report.stats.failed, 0, "{ctx}: requests failed");
-        // Outcome slot i belongs to submitted request i...
-        for (req, outcome) in reqs.iter().zip(&report.outcomes) {
-            assert_eq!(*req, outcome.request, "{ctx}: outcome order");
+        assert_eq!(answers.len(), reqs.len(), "{ctx}");
+        assert_eq!(stats.failed + stats.rejected, 0, "{ctx}: requests failed");
+        // Answer line i belongs to submitted request i...
+        for (req, answer) in reqs.iter().zip(&answers) {
+            let (request, status) = fingerprint(answer);
+            assert_eq!(request_key(req), request, "{ctx}: answer order");
             // ...and its result matches the sequential reference exactly.
-            let (_, status) = fingerprint(outcome);
             assert_eq!(
-                expected.get(req),
+                expected.get(&request),
                 Some(&status),
                 "{ctx}: {} n={} diverged from sequential reference",
                 req.routine.name(),
@@ -80,7 +89,7 @@ fn batches_are_deterministic_across_threads_orders_and_capacities() {
 }
 
 /// Two identical stressed runs (same threads, same shuffled order) agree
-/// with each other outcome-for-outcome — the repeated-run flake check.
+/// with each other answer-for-answer — the repeated-run flake check.
 #[test]
 fn repeated_stressed_runs_are_identical() {
     let device = DeviceSpec::gtx285();
@@ -91,9 +100,8 @@ fn repeated_stressed_runs_are_identical() {
         let registry = Registry::new(device.clone())
             .with_capacity(Some(6))
             .with_tune_cache(shared_tune_cache_path());
-        registry
-            .run_batch(&reqs, 8, &mut |_| {})
-            .outcomes
+        serve_requests(&registry, &reqs, 8)
+            .0
             .iter()
             .map(fingerprint)
             .collect::<Vec<_>>()

@@ -3,12 +3,13 @@
 //!
 //! The contract under test, end to end:
 //!
-//! * results served concurrently — many clients, many tenants, dynamic
-//!   batching — are **bit-identical** (digest for digest) to running
-//!   the same requests one at a time through the registry;
+//! * results served concurrently — many clients, many tenants — are
+//!   **bit-identical** (digest for digest) to running the same requests
+//!   one at a time through the registry;
 //! * backpressure is explicit: over the queue cap or tenant quota every
 //!   request still gets exactly one well-formed JSONL answer, rejected
-//!   lines carrying a stable `admission/...` class;
+//!   lines carrying a stable `admission/...` class, and the queue cap
+//!   really bounds what a busy server holds;
 //! * shutdown is a graceful drain: everything admitted is answered,
 //!   and the terminal accounting shows `admitted == completed`;
 //! * introspection (`metrics` / `health`) answers over the same socket;
@@ -70,8 +71,8 @@ fn parse(line: &str) -> oa_core::autotune::json::Json {
     oa_core::autotune::json::parse(line).unwrap_or_else(|| panic!("not JSON: {line}"))
 }
 
-/// Three tenants on three concurrent connections, batched and
-/// interleaved by the server, must produce the same digests as serving
+/// Three tenants on three concurrent connections, interleaved by the
+/// server's workers, must produce the same digests as serving
 /// each request alone — and clamped sizes must say so.
 #[test]
 fn concurrent_tenants_match_sequential_digests() {
@@ -123,7 +124,7 @@ fn concurrent_tenants_match_sequential_digests() {
     // Sequential reference on a second registry sharing the tune cache.
     let reference = registry();
     for ((_, reqs), resp) in mixes.iter().zip(&responses) {
-        // Index the tenant's responses by id (batching reorders them).
+        // Index the tenant's responses by id (workers reorder them).
         let by_id: HashMap<i64, oa_core::autotune::json::Json> = resp
             .iter()
             .map(|line| {
@@ -218,6 +219,98 @@ fn backpressure_rejects_with_structured_lines() {
     let stats = server.shutdown_and_join();
     assert_eq!(stats.admitted, stats.completed);
     assert_eq!(stats.rejected, rejected);
+}
+
+/// The queue cap bounds what a busy server holds: with its one worker
+/// stuck in a cold tune, at most `queue_cap` more requests are admitted
+/// — distinct tenants do not get around it — and the rest are refused
+/// with `admission/overload`, while `metrics` reports the real depth.
+#[test]
+fn queue_cap_bounds_a_busy_server() {
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .unwrap()
+        .as_nanos();
+    // A directory of its own, so no cost-model artifact sits next to
+    // the cache and shortens the tune.
+    let dir =
+        std::env::temp_dir().join(format!("oa-serve-queue-cap-{}-{nanos}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let reg = Registry::new(DeviceSpec::gtx285()).with_tune_cache(dir.join("cache.json"));
+    let mut cfg = config(1);
+    cfg.queue_cap = 4;
+    let server = spawn_server(
+        Arc::new(reg),
+        Listener::bind("127.0.0.1:0").expect("bind"),
+        cfg,
+        TraceMode::Off,
+    );
+    // A cold TRMM first: its tune (about a second) keeps the only worker
+    // busy.  Then 12 requests from 12 distinct tenants, spaced out so a
+    // scheduler that moved admitted work into a second, unbounded queue
+    // would have drained admission between arrivals; then a metrics
+    // probe.
+    let mut lines = vec![Request::new(RoutineId::parse("TRMM-LL-N").unwrap(), 256)
+        .to_json()
+        .compact()];
+    lines.extend((0..12u64).map(|i| {
+        let mut r = Request::new(RoutineId::parse("GEMM-NN").unwrap(), 16);
+        r.seed = i;
+        r.tenant = Some(format!("t{i}"));
+        r.to_json().compact()
+    }));
+    lines.push(r#"{"op":"metrics"}"#.to_string());
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    let mut w = stream.try_clone().expect("clone");
+    for line in &lines {
+        writeln!(w, "{line}").expect("send");
+        w.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut r = BufReader::new(stream);
+    let responses: Vec<String> = (0..lines.len())
+        .map(|_| {
+            let mut line = String::new();
+            assert!(r.read_line(&mut line).expect("response line") > 0);
+            line
+        })
+        .collect();
+    let stats = server.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut overload = 0usize;
+    let mut metrics = None;
+    for line in &responses {
+        let doc = parse(line);
+        if doc.get("op").is_some() {
+            metrics = Some(doc);
+            continue;
+        }
+        if field(&doc, "status").as_str() == Some("error") {
+            assert_eq!(field(&doc, "class").as_str(), Some("admission/overload"));
+            let reason = field(&doc, "reason").as_str().unwrap();
+            assert!(reason.contains("queue full"), "{line}");
+            overload += 1;
+        }
+    }
+    assert!(
+        stats.admitted <= 1 + 4,
+        "{} admitted past a queue cap of 4 while the worker was busy",
+        stats.admitted
+    );
+    assert_eq!(
+        overload,
+        13 - stats.admitted,
+        "every refusal is a full queue"
+    );
+    assert_eq!(stats.rejected, overload);
+    let depth = field(&metrics.expect("metrics answer"), "queue_depth")
+        .as_i64()
+        .unwrap();
+    assert!(depth <= 4, "queue_depth {depth} exceeds the cap");
 }
 
 /// A shutdown op is a graceful drain: every request sent before it is
@@ -397,7 +490,7 @@ fn one_shot_serve_streams_incrementally() {
     });
     let mut sink = SharedOut(out.clone());
     let stats = serve_stream(&reg, &mut input, &mut sink, 2, TraceMode::Off).expect("serve");
-    assert_eq!(stats.requests, 1);
+    assert_eq!(stats.admitted, 1);
     assert_eq!(stats.ok, 1);
     let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
     let doc = parse(text.lines().next().expect("one output line"));
@@ -418,9 +511,10 @@ fn one_shot_serve_reports_parse_errors_in_place() {
     let mut reader = BufReader::new(&input[..]);
     let mut sink = SharedOut(Arc::new(Mutex::new(Vec::new())));
     let stats = serve_stream(&reg, &mut reader, &mut sink, 2, TraceMode::Off).expect("serve");
-    assert_eq!(stats.requests, 4);
+    // Parse errors are answered without ever being admitted.
+    assert_eq!(stats.admitted + stats.rejected, 4);
     assert_eq!(stats.ok, 2);
-    assert_eq!(stats.failed, 2);
+    assert_eq!(stats.failed + stats.rejected, 2);
 
     let bytes = sink.0.lock().unwrap().clone();
     let text = String::from_utf8(bytes).unwrap();
@@ -446,7 +540,7 @@ const DAG_CHAIN: &str = r#"{"dag": [{"id": "mm", "routine": "GEMM-NN", "a": "A",
 /// A DAG line through the persistent server comes back as one structured
 /// result carrying the fusion decisions, and its digest matches running
 /// the same DAG directly through a reference registry — the DAG was
-/// dispatched as one unit, not split across batches.
+/// dispatched as one unit.
 #[test]
 fn serve_runs_dag_requests_as_one_unit() {
     let server = spawn_server(
@@ -455,8 +549,7 @@ fn serve_runs_dag_requests_as_one_unit() {
         config(2),
         TraceMode::Off,
     );
-    // A DAG interleaved with plain singles: distinct coalesce keys, one
-    // answer each.
+    // A DAG interleaved with plain singles: one answer each.
     let lines = vec![
         Request::new(RoutineId::parse("GEMM-NN").unwrap(), 16)
             .to_json()
@@ -546,7 +639,7 @@ fn serve_rejects_invalid_dags_with_structured_classes() {
     let lines: Vec<String> = cases.iter().map(|(l, _)| l.to_string()).collect();
     let responses = drive(server.addr(), &lines, cases.len());
     // Schema-level rejections answer immediately, admission ones after
-    // dispatch — order by the per-connection id.
+    // execution — order by the per-connection id.
     let by_id: HashMap<i64, oa_core::autotune::json::Json> = responses
         .iter()
         .map(|line| {
@@ -583,9 +676,9 @@ fn one_shot_serve_handles_dag_lines() {
     let mut reader = BufReader::new(input.as_bytes());
     let mut sink = SharedOut(Arc::new(Mutex::new(Vec::new())));
     let stats = serve_stream(&reg, &mut reader, &mut sink, 2, TraceMode::Off).expect("serve");
-    assert_eq!(stats.requests, 3);
+    assert_eq!(stats.admitted + stats.rejected, 3);
     assert_eq!(stats.ok, 2);
-    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.failed + stats.rejected, 1);
 
     let bytes = sink.0.lock().unwrap().clone();
     let text = String::from_utf8(bytes).unwrap();
@@ -628,7 +721,14 @@ fn oversized_requests_are_refused_on_both_paths() {
     let mut reader = BufReader::new(input.as_bytes());
     let mut sink = SharedOut(Arc::new(Mutex::new(Vec::new())));
     let stats = serve_stream(&reg, &mut reader, &mut sink, 2, TraceMode::Off).expect("serve");
-    assert_eq!((stats.requests, stats.ok, stats.failed), (3, 1, 2));
+    assert_eq!(
+        (
+            stats.admitted + stats.rejected,
+            stats.ok,
+            stats.failed + stats.rejected
+        ),
+        (3, 1, 2)
+    );
     let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
     let lines: Vec<_> = text.lines().collect();
     assert_eq!(lines.len(), 3);
