@@ -975,24 +975,21 @@ mod tests {
     /// evaluate.
     const PINNED_MODEL_HASH: u64 = 0xfcce_8d0f_fc22_f37d;
 
-    #[test]
-    fn perf_model_output_bits_are_pinned() {
+    /// The same hash over every routine's full sweep at n = 64 and 128 on
+    /// all three devices: 10,080 reports.
+    const PINNED_FULL_SWEEP_HASH: u64 = 0x515e_f2c6_edab_be29;
+
+    /// FNV-1a of the sweep reports of `routines` at `sizes`, in routine,
+    /// size, device, sweep-point order, and the number of points hashed.
+    fn sweep_hash(routines: &[RoutineId], sizes: &[i64]) -> (u64, usize) {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut points = 0;
         let mut mix = |x: u64| {
             for b in x.to_le_bytes() {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
             }
         };
-        let n = 64;
-        let bindings = Bindings::square(n);
-        let routines: Vec<RoutineId> = RoutineId::all24()
-            .into_iter()
-            .filter(|r| {
-                ["GEMM-TT", "TRMM-LL-T", "SYMM-LU", "TRSM-RU-T"].contains(&r.name().as_str())
-            })
-            .collect();
-        assert_eq!(routines.len(), 4);
-        for r in routines {
+        for &r in routines {
             let (scripts, _, _) = compose_variants(select_engine(), r).unwrap();
             let src = oa_blas3::routines::source(r);
             let params = candidates(oa_scheme(r).solver);
@@ -1001,29 +998,61 @@ mod tests {
                 .flat_map(|s| params.iter().map(move |p| (s, *p)))
                 .map(|(s, p)| apply_lenient(&src, s, p).ok().map(|o| o.program))
                 .collect();
-            for device in DeviceSpec::all() {
-                for p in &programs {
-                    let Some(p) = p else {
-                        mix(1);
-                        continue;
-                    };
-                    match evaluate(p, &bindings, &device, r.flops(n), true) {
-                        Ok(rep) => {
-                            mix(rep.gflops.to_bits());
-                            mix(rep.counters.gmem_bytes.to_bits());
-                            mix(rep.counters.instructions.to_bits());
-                            mix(rep.counters.smem_replays.to_bits());
+            for &n in sizes {
+                let bindings = Bindings::square(n);
+                for device in DeviceSpec::all() {
+                    for p in &programs {
+                        points += 1;
+                        let Some(p) = p else {
+                            mix(1);
+                            continue;
+                        };
+                        match evaluate(p, &bindings, &device, r.flops(n), true) {
+                            Ok(rep) => {
+                                mix(rep.gflops.to_bits());
+                                mix(rep.counters.gmem_bytes.to_bits());
+                                mix(rep.counters.instructions.to_bits());
+                                mix(rep.counters.smem_replays.to_bits());
+                            }
+                            Err(_) => mix(2),
                         }
-                        Err(_) => mix(2),
                     }
                 }
             }
         }
+        (h, points)
+    }
+
+    #[test]
+    fn perf_model_output_bits_are_pinned() {
+        let routines: Vec<RoutineId> = RoutineId::all24()
+            .into_iter()
+            .filter(|r| {
+                ["GEMM-TT", "TRMM-LL-T", "SYMM-LU", "TRSM-RU-T"].contains(&r.name().as_str())
+            })
+            .collect();
+        assert_eq!(routines.len(), 4);
+        let (h, _) = sweep_hash(&routines, &[64]);
         assert_eq!(
             h, PINNED_MODEL_HASH,
             "the performance model's output bits changed (hash {h:#018x}): a deliberate \
              model change must update PINNED_MODEL_HASH and EXPERIMENTS.md; otherwise \
              this is a regression"
+        );
+    }
+
+    /// The whole sweep (about 20 s in release): run with `cargo test
+    /// --release -p oa-autotune -- --ignored` after a change to
+    /// `gpusim/src/perf.rs`.
+    #[test]
+    #[ignore]
+    fn perf_model_full_sweep_bits_are_pinned() {
+        let (h, points) = sweep_hash(&RoutineId::all24(), &[64, 128]);
+        assert_eq!(points, 10_080);
+        assert_eq!(
+            h, PINNED_FULL_SWEEP_HASH,
+            "the performance model's output bits changed (hash {h:#018x}): a deliberate \
+             model change must update PINNED_FULL_SWEEP_HASH and EXPERIMENTS.md"
         );
     }
 

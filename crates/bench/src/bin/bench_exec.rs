@@ -19,10 +19,15 @@
 //! — puts each row's native GFLOPS beside the peak.  The `GEMM-NN-inner` row is a
 //! register-tiled kernel whose deep K tile makes the inner FMA nest
 //! dominate; the `*-t32x16` / `*-t16x16` rows are the two register-tile
-//! shapes the tuner picks for the n = 128 serving routines.  A GEMM-family
-//! row that replays no loop record fails the run: the native tier fell
-//! back to per-instance replay without saying so.  `--quick` (alias
-//! `--smoke`) trims the routine set and iteration budget for smoke runs.
+//! shapes the tuner picks for the n = 128 serving routines, and the
+//! `TRMM-RU-T-t16x16` (peeled diagonal band) and `TRSM-LL-N-solver`
+//! (per-column substitution) rows are the served triangular winners,
+//! whose nests store into a written global.  A GEMM-family row that
+//! replays no loop record fails the run: the native tier fell back to
+//! per-instance replay without saying so.  So does a serving row with a
+//! `store-shape` or `written-global-load` reject: a served nest went back
+//! to the interpreter.  `--quick` (alias `--smoke`) trims the routine set
+//! and iteration budget for smoke runs.
 
 use oa_core::autotune::json::Json;
 use oa_core::autotune::report::{NativeCoverageStats, TuneEvent};
@@ -180,13 +185,17 @@ fn tuned_shape(r: RoutineId, script: &str, params: TileParams) -> Program {
     apply_strict(&source(r), &script, params).expect("serving script applies")
 }
 
-/// The two serving tile shapes: `[ty, tx, thr_i, thr_j, kb]` =
+/// The serving tile shapes: `[ty, tx, thr_i, thr_j, kb]` =
 /// `[32, 16, 32, 1, 16]` (32-lane blocks, a 16-wide register tile whose
-/// index moves every iteration) and `[16, 16, 16, 16, 16]` (256-lane
-/// blocks, one accumulator per lane over the K tile).
+/// index moves every iteration), `[16, 16, 16, 16, 16]` (256-lane blocks,
+/// one accumulator per lane over the K tile, also TRMM-RU-T's peel
+/// script) and TRSM's solver shape `[16, 64, 1, 64, 8]` (64 one-column
+/// lanes).
 fn serving_shapes() -> Vec<(String, RoutineId, Program)> {
     let gemm_nn = RoutineId::Gemm(Trans::N, Trans::N);
     let gemm_tn = RoutineId::Gemm(Trans::T, Trans::N);
+    let trmm_ru_t = RoutineId::Trmm(Side::Right, Uplo::Upper, Trans::T);
+    let trsm_ll_n = RoutineId::Trsm(Side::Left, Uplo::Lower, Trans::N);
     let shape = |ty, tx, thr_i, thr_j| TileParams {
         ty,
         tx,
@@ -221,6 +230,37 @@ fn serving_shapes() -> Vec<(String, RoutineId, Program)> {
                  SM_alloc(A, NoChange);
                  reg_alloc(C);",
                 shape(16, 16, 16, 16),
+            ),
+        ),
+        (
+            "TRMM-RU-T-t16x16".to_string(),
+            trmm_ru_t,
+            tuned_shape(
+                trmm_ru_t,
+                "(Lii, Ljj) = thread_grouping((Li, Lj));
+                 (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
+                 peel_triangular(A);
+                 loop_unroll(Ljjj, Lkkk);
+                 SM_alloc(B, Transpose);
+                 SM_alloc(A, NoChange);
+                 reg_alloc(C);",
+                shape(16, 16, 16, 16),
+            ),
+        ),
+        (
+            "TRSM-LL-N-solver".to_string(),
+            trsm_ll_n,
+            tuned_shape(
+                trsm_ll_n,
+                "(Lii, Ljj) = thread_grouping((Li, Lj));
+                 (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
+                 SM_alloc(B, Transpose);
+                 SM_alloc(A, NoChange);
+                 reg_alloc(B);",
+                TileParams {
+                    kb: 8,
+                    ..shape(16, 64, 1, 64)
+                },
             ),
         ),
     ]
@@ -366,7 +406,7 @@ fn main() {
         "host peak: {peak:.2} GFLOPS on one core ({peak_width} f32 lanes; SIMD width {width})\n"
     );
     println!(
-        "{:<15} {:>5} {:>7} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>10} {:>7}",
+        "{:<17} {:>5} {:>7} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>10} {:>7}",
         "routine",
         "n",
         "blocks",
@@ -401,9 +441,12 @@ fn main() {
     let syrk = syrk_ln(tri_n);
     let syrk_flops = tri_n as f64 * tri_n as f64 * (tri_n as f64 + 1.0);
     measurements.push(measure_program("SYRK-LN", &syrk, tri_n, syrk_flops, budget));
-    // The serving tile shapes at the serving size (n = 64 on smoke runs).
+    // The serving tile shapes at the serving size (n = 64 on smoke runs;
+    // both are multiples of TRSM's 64-row solver tile).
     let shape_n = if quick { 64 } else { 128 };
+    let mut serving = Vec::new();
     for (label, r, p) in serving_shapes() {
+        serving.push(label.clone());
         measurements.push(measure_program(
             &label,
             &p,
@@ -425,7 +468,7 @@ fn main() {
         log_speedup_sum += m.speedup().ln();
         log_native_sum += m.native_speedup().ln();
         println!(
-            "{:<15} {:>5} {:>7} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>7.2}x {:>7.2}x {:>10.4} {:>6.2}%",
+            "{:<17} {:>5} {:>7} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>7.2}x {:>7.2}x {:>10.4} {:>6.2}%",
             m.routine,
             m.n,
             m.blocks,
@@ -542,6 +585,23 @@ fn main() {
         .collect();
     if !silent.is_empty() {
         eprintln!("FAIL: GEMM-family rows replayed no loop record: {silent:?}");
+        std::process::exit(1);
+    }
+    // Every nest of a served kernel that stores into, or reads back, a
+    // written global lowers through the write window.
+    let stores: Vec<&str> = measurements
+        .iter()
+        .filter(|m| serving.contains(&m.routine))
+        .filter(|m| {
+            m.coverage
+                .rejects
+                .iter()
+                .any(|(name, _)| matches!(name.as_str(), "store-shape" | "written-global-load"))
+        })
+        .map(|m| m.routine.as_str())
+        .collect();
+    if !stores.is_empty() {
+        eprintln!("FAIL: serving rows left a global-store nest interpreted: {stores:?}");
         std::process::exit(1);
     }
 

@@ -10,7 +10,7 @@
 //! oa trace-check trace.jsonl               # validate a captured trace stream
 //! oa serve requests.jsonl --threads 8      # one-shot serve: JSONL in, JSONL out
 //! oa fuzz --seed 5 --iters 200             # differential fuzz: 3 engines + reference
-//! oa explain --native TRSM-LL-N --n 256    # native-tier region map + reject table
+//! oa explain --native TRSM-LL-N --n 256    # served kernel's native region map + rejects
 //! oa model train trace.jsonl               # fit the tuner's learned cost model
 //! oa model eval trace.jsonl --min-hit 0.9  # held-out top-5 hit rate gate
 //! oa model explain                         # artifact summary + importances
@@ -567,18 +567,39 @@ fn run(args: &Args) -> Result<(), String> {
         }
         "explain" => {
             // Matcher-tuning dump: region map, annotated disassembly and
-            // the deduplicated reject table for one routine's baseline
-            // kernel, with runtime counters from one execution at --n.
+            // the deduplicated reject table for the kernel `oa serve`
+            // runs at --n (the registry's winner: a tuning-cache replay
+            // under OA_TUNE_CACHE, else a fresh tune), with runtime
+            // counters from one execution on the serving inputs.
             let r = need_routine(args)?;
             if !args.native {
                 return Err("explain currently supports only `--native`".into());
             }
-            let p = oa_core::blas3::baselines::cublas_like(r, &args.device);
+            let mut registry = Registry::new(args.device.clone());
+            if let Ok(cache) = std::env::var("OA_TUNE_CACHE") {
+                registry = registry.with_tune_cache(cache.into());
+            }
+            let entry = registry.resolve(r, args.n)?;
+            let p = oa_core::epod::translator::apply_lenient(
+                &oa_core::blas3::routines::source(r),
+                &entry.script,
+                entry.params,
+            )
+            .map_err(|e| e.to_string())?
+            .program;
             let b = oa_core::loopir::interp::Bindings::square(args.n);
             let np = oa_core::gpusim::NativeProgram::compile(&p, &b).map_err(|e| e.to_string())?;
-            let mut bufs = oa_core::loopir::interp::alloc_buffers(&p, &b, 7);
+            let req = oa_core::Request::new(r, args.n);
+            let mut bufs =
+                oa_core::blas3::verify::prepare_buffers(&p, args.n, req.seed, req.zero_blanks);
             np.execute(&mut bufs).map_err(|e| e.to_string())?;
+            let t = entry.params;
             println!("{} on {} (n = {})", r.name(), args.device.name, args.n);
+            println!(
+                "params: ty={} tx={} thr_i={} thr_j={} kb={} unroll={}",
+                t.ty, t.tx, t.thr_i, t.thr_j, t.kb, t.unroll
+            );
+            println!("script:\n{}", entry.script);
             println!("{}", np.explain());
             Ok(())
         }

@@ -60,6 +60,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::exec::{has_barrier, ExecError};
 use crate::launch::{extract_launch, Builtin};
+use crate::window::Hints;
 
 /// The per-thread specials, registered as frame slots `0..6` before any
 /// program variable: the thread indices, then the staging (`__sr`/`__sc`)
@@ -88,7 +89,7 @@ pub(crate) enum ArrRef {
 pub(crate) struct GlobalInfo {
     pub(crate) name: String,
     /// Whether the kernel body ever writes this array. Read-only arrays
-    /// skip the overlay lookup entirely.
+    /// get no write window and skip its lookup entirely.
     pub(crate) written: bool,
 }
 
@@ -327,6 +328,8 @@ pub struct ByteCode {
     /// Per-slot lane-affinity classes from [`mark_lanes`] — the loop and
     /// address metadata the native lowering's pattern matcher consumes.
     pub(crate) lane_cls: Vec<Lane>,
+    /// Per-global write-window sizing hints ([`crate::vexec`]).
+    pub(crate) hints: Hints,
 }
 
 impl ByteCode {
@@ -349,7 +352,7 @@ impl ByteCode {
             .collect();
 
         // Array tables: globals keep their names (for buffer lookup and
-        // overlay merge); shared/register tiles get dense arena indices.
+        // window merge); shared/register tiles get dense arena indices.
         let mut arr_refs = HashMap::new();
         let mut globals = Vec::new();
         let (mut smem, mut smem_off, mut smem_len) = (Vec::new(), Vec::new(), 0usize);
@@ -461,6 +464,7 @@ impl ByteCode {
             prologues: p.prologues.clone(),
             prologue_env,
             lane_cls,
+            hints: Hints::default(),
         })
     }
 

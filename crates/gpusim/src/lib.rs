@@ -44,6 +44,7 @@ pub mod native;
 pub mod perf;
 pub mod profile;
 pub mod vexec;
+mod window;
 
 pub use bytecode::ByteCode;
 pub use cudagen::to_cuda_source;

@@ -49,9 +49,18 @@
 //!   affine loop variable), and stores one record — box, trip count,
 //!   first addresses — whose deltas are static.  The replay runs it as
 //!   one loop kernel, lanes against iterations: each lane keeps its
-//!   iteration order and writes only its own register tile, and the
-//!   loop reads only shared memory or unwritten globals, which nothing
-//!   inside it writes.  A box that may change walks per iteration;
+//!   iteration order and writes only its own accumulator, and every
+//!   source the loop reads is either untouched by it (shared memory,
+//!   unwritten globals) or packed before it runs.  A box that may change
+//!   walks per iteration;
+//! * **global stores through the write window** — a store into a global
+//!   and a load of a global the kernel writes use the block's write
+//!   window (`crate::window`), as the interpreter does: generic runs
+//!   read-modify-write each lane in lane order, and a hot run may
+//!   accumulate into a global element each lane owns (injective in
+//!   `(tx, ty)`; fixed across a loop record's iterations, and no source
+//!   of the same global overlapping it), gathered lane-contiguous for the
+//!   loop kernel and stored back after it;
 //! * **two-rounding FMA** — every kernel computes `t = a*b` (rounded),
 //!   then `acc ± t` (rounded), never `mul_add`, matching the semantics
 //!   every other engine pins;
@@ -268,12 +277,10 @@ pub enum NativeReject {
     NonAffineGuard,
     /// A load/store subscript has no lane-affine class (gather).
     NonAffineAddress,
-    /// A store targets something other than a register tile at a
-    /// lane-invariant element.
+    /// A store targets a shared tile, or a register tile at a
+    /// lane-varying element.  (Stores to globals lower: they go through
+    /// the block's write window like the interpreter's.)
     StoreShape,
-    /// A load reads a global the kernel also writes: the interpreter's
-    /// overlay (read-your-write) semantics would be bypassed.
-    WrittenGlobalLoad,
     /// An integer slot written in the nest has no lane-affine class, so
     /// the frame writeback could not be reconstructed.
     NonAffineWriteback,
@@ -292,7 +299,6 @@ impl NativeReject {
             NativeReject::NonAffineGuard => "non-affine-guard",
             NativeReject::NonAffineAddress => "non-affine-address",
             NativeReject::StoreShape => "store-shape",
-            NativeReject::WrittenGlobalLoad => "written-global-load",
             NativeReject::NonAffineWriteback => "non-affine-writeback",
             NativeReject::NoStatement => "no-statement",
         }
@@ -506,23 +512,69 @@ enum NOp {
         src: u32,
         row: AOp,
         col: AOp,
-        x: u32,
+        dst: NDst,
         op: AssignOp,
     },
+}
+
+/// A global operand: the array and the row/col lane coefficients
+/// `(ra, rb)`/`(ca, cb)` of its address (the leading dimension is
+/// runtime).
+#[derive(Clone, Copy, Debug)]
+struct GAff {
+    g: u32,
+    ra: i64,
+    rb: i64,
+    ca: i64,
+    cb: i64,
+}
+
+impl GAff {
+    /// The element lane `(tx, ty)` addresses, given lane `(0, 0)`'s.
+    #[inline]
+    fn at(&self, r: i64, c: i64, tx: i64, ty: i64) -> (i64, i64) {
+        (
+            r + self.ra * tx + self.rb * ty,
+            c + self.ca * tx + self.cb * ty,
+        )
+    }
+
+    /// Inclusive row and column ranges the lanes of `bv` address over
+    /// `trip` iterations that advance `(dr, dc)` from `(r, c)`.
+    fn footprint(
+        &self,
+        (r, c): (i64, i64),
+        (dr, dc): (i64, i64),
+        trip: i64,
+        bv: LBox,
+    ) -> [(i64, i64); 2] {
+        [
+            extent(r, self.ra, self.rb, dr, trip, bv),
+            extent(c, self.ca, self.cb, dc, trip, bv),
+        ]
+    }
+
+    /// Whether distinct lanes of a `(bx, by)` block address distinct
+    /// elements: the axes that vary must move the address, in
+    /// independent directions when both vary.
+    fn lanes_own_elements(&self, (bx, by): (i64, i64)) -> bool {
+        match (bx > 1, by > 1) {
+            (false, false) => true,
+            (true, false) => (self.ra, self.ca) != (0, 0),
+            (false, true) => (self.rb, self.cb) != (0, 0),
+            (true, true) => self.ra * self.cb - self.rb * self.ca != 0,
+        }
+    }
 }
 
 /// A load source with its compile-time lane structure.
 #[derive(Clone, Copy, Debug)]
 enum NSrc {
-    /// Unwritten global; `(ra, rb)`/`(ca, cb)` are the row/col lane
-    /// coefficients (the leading dimension is runtime).
-    Global {
-        g: u32,
-        ra: i64,
-        rb: i64,
-        ca: i64,
-        cb: i64,
-    },
+    /// Unwritten global, read from the snapshot.
+    Global(GAff),
+    /// Written global, read through the block's write window (its own
+    /// writes first, then the snapshot).
+    Window(GAff),
     /// Shared tile: arena offset, leading dimension and the flat per-tx
     /// / per-ty deltas, all compile-time.
     Shared {
@@ -535,14 +587,24 @@ enum NSrc {
     Reg { x: u32 },
 }
 
+/// A store target with its compile-time lane structure.
+#[derive(Clone, Copy, Debug)]
+enum NDst {
+    /// Register tile at a lane-invariant element (lane-contiguous).
+    Reg { x: u32 },
+    /// Global, written into the block's write window.
+    Global(GAff),
+}
+
 /// The fused accumulate `acc ±= a*b`: two loads, one multiply, one
-/// register-tile read-modify-write, executed as a single pass.
+/// read-modify-write of a register tile or of a global element each lane
+/// owns, executed as a single pass.
 #[derive(Clone, Copy, Debug)]
 struct Hot {
     a: NSrc,
     b: NSrc,
     sub: bool,
-    x: u32,
+    acc: NDst,
 }
 
 // ---------------------------------------------------------------------------
@@ -912,6 +974,18 @@ impl<'a> RegionBuilder<'a> {
                             addr_deltas.push(daop(&d, col)?);
                         }
                     }
+                    // A global accumulator is gathered once per record, so
+                    // each lane's element must stay put across iterations.
+                    if matches!(
+                        r.hot,
+                        Some(Hot {
+                            acc: NDst::Global(_),
+                            ..
+                        })
+                    ) && addr_deltas[4..6] != [0, 0]
+                    {
+                        return None;
+                    }
                     run = Some((sid, addr_deltas));
                     pc = r.exit;
                     continue;
@@ -1105,19 +1179,16 @@ impl<'a> RegionBuilder<'a> {
                 } => {
                     let (ra, rb) = self.aop_aff(row).map_err(|e| (k, e))?;
                     let (ca, cb) = self.aop_aff(col).map_err(|e| (k, e))?;
+                    let aff = |g: usize| GAff {
+                        g: g as u32,
+                        ra,
+                        rb,
+                        ca,
+                        cb,
+                    };
                     let src = match arr {
-                        ArrRef::Global(g) => {
-                            if self.bc.globals[g].written {
-                                return Err((k, NativeReject::WrittenGlobalLoad));
-                            }
-                            NSrc::Global {
-                                g: g as u32,
-                                ra,
-                                rb,
-                                ca,
-                                cb,
-                            }
-                        }
+                        ArrRef::Global(g) if self.bc.globals[g].written => NSrc::Window(aff(g)),
+                        ArrRef::Global(g) => NSrc::Global(aff(g)),
                         ArrRef::Shared(s) => {
                             let d = &self.bc.smem[s];
                             let ld = d.rows + d.pad;
@@ -1162,21 +1233,28 @@ impl<'a> RegionBuilder<'a> {
                     op,
                     ..
                 } => {
-                    let ArrRef::Reg(x) = arr else {
-                        return Err((k, NativeReject::StoreShape));
+                    let (ra, rb) = self.aop_aff(row).map_err(|e| (k, e))?;
+                    let (ca, cb) = self.aop_aff(col).map_err(|e| (k, e))?;
+                    let dst = match arr {
+                        ArrRef::Reg(x) if (ra, rb, ca, cb) == (0, 0, 0, 0) => {
+                            NDst::Reg { x: x as u32 }
+                        }
+                        ArrRef::Global(g) => NDst::Global(GAff {
+                            g: g as u32,
+                            ra,
+                            rb,
+                            ca,
+                            cb,
+                        }),
+                        _ => return Err((k, NativeReject::StoreShape)),
                     };
-                    if self.aop_aff(row).map_err(|e| (k, e))? != (0, 0)
-                        || self.aop_aff(col).map_err(|e| (k, e))? != (0, 0)
-                    {
-                        return Err((k, NativeReject::StoreShape));
-                    }
                     self.has_store = true;
                     n_addrs += 1;
                     ops.push(NOp::Store {
                         src,
                         row,
                         col,
-                        x: x as u32,
+                        dst,
                         op,
                     });
                 }
@@ -1184,7 +1262,7 @@ impl<'a> RegionBuilder<'a> {
             }
         }
 
-        let hot = detect_hot(&ops);
+        let hot = detect_hot(&ops, self.bc.block);
         let sid = self.stmts.len() as u32;
         self.pf.push((lo, PfOp::Run(sid)));
         self.stmts.push(NStmt::Run(NRun {
@@ -1210,8 +1288,10 @@ fn is_fop(i: &Instr) -> bool {
 
 /// Recognize the fused accumulate: `load a; load b; mul; acc ±= t`, with
 /// both sources outside the register file (the accumulator may alias a
-/// `Reg` source slice, so those stay on the generic path).
-fn detect_hot(ops: &[NOp]) -> Option<Hot> {
+/// `Reg` source slice, so those stay on the generic path).  A global
+/// accumulator must give each lane of the `block` its own element: the
+/// loop kernel reads and writes each lane's element independently.
+fn detect_hot(ops: &[NOp], block: (i64, i64)) -> Option<Hot> {
     match *ops {
         [NOp::Load {
             dst: la, src: sa, ..
@@ -1222,19 +1302,24 @@ fn detect_hot(ops: &[NOp]) -> Option<Hot> {
             dst,
             a,
             b,
-        }, NOp::Store { src, x, op, .. }]
-            if a == la
-                && b == lb
-                && src == dst
-                && !matches!(sa, NSrc::Reg { .. })
-                && !matches!(sb, NSrc::Reg { .. })
-                && matches!(op, AssignOp::AddAssign | AssignOp::SubAssign) =>
+        }, NOp::Store {
+            src, dst: acc, op, ..
+        }] if a == la
+            && b == lb
+            && src == dst
+            && !matches!(sa, NSrc::Reg { .. })
+            && !matches!(sb, NSrc::Reg { .. })
+            && matches!(op, AssignOp::AddAssign | AssignOp::SubAssign)
+            && match acc {
+                NDst::Reg { .. } => true,
+                NDst::Global(ga) => ga.lanes_own_elements(block),
+            } =>
         {
             Some(Hot {
                 a: sa,
                 b: sb,
                 sub: matches!(op, AssignOp::SubAssign),
-                x,
+                acc,
             })
         }
         _ => None,
@@ -1426,10 +1511,70 @@ pub(crate) struct NativeScratch {
     /// A loop record's guard conditions (`lhs − rhs`) at its first
     /// iteration.
     pub(crate) gd0: Vec<i64>,
-    /// Packed copies of strided loop-kernel sources, one per operand.
+    /// Packed copies of strided or windowed loop-kernel sources, one per
+    /// operand.
     pub(crate) pack: [Vec<f32>; 2],
+    /// A global accumulator gathered lane-contiguous for the loop kernel.
+    pub(crate) acc: Vec<f32>,
     /// Preflight box stack: `(saved box, else box)` per open construct.
     pub(crate) bstack: Vec<(LBox, Option<LBox>)>,
+}
+
+/// Whether loop record `lr`, traced once at `rec` (`[sid, box…,
+/// first addresses…]`, or empty when the guard box was), reads nothing
+/// its global accumulator writes: sources are packed before the loop
+/// runs, so a source element the loop also writes would read stale.
+/// The bounding boxes of the accumulator and of each source reading the
+/// same global, over the lane box and all `trip` iterations, must be
+/// disjoint.
+fn record_alias_free(region: &Region, lr: &LoopRec, trip: i64, rec: &[i64]) -> bool {
+    let NStmt::Run(run) = &region.stmts[lr.sid as usize] else {
+        unreachable!("loop records replay a run");
+    };
+    let Some(Hot {
+        a,
+        b,
+        acc: NDst::Global(acc),
+        ..
+    }) = run.hot
+    else {
+        return true;
+    };
+    if rec.is_empty() {
+        return true;
+    }
+    let bv = LBox {
+        txl: rec[1],
+        txh: rec[2],
+        tyl: rec[3],
+        tyh: rec[4],
+    };
+    let (addrs, d) = (&rec[5..], &lr.addr_deltas);
+    let fp =
+        |ga: GAff, i: usize| ga.footprint((addrs[i], addrs[i + 1]), (d[i], d[i + 1]), trip, bv);
+    let accf = fp(acc, 4);
+    [(a, 0), (b, 2)].into_iter().all(|(src, i)| match src {
+        NSrc::Window(s) if s.g == acc.g => {
+            let sf = fp(s, i);
+            (0..2).any(|x| sf[x].1 < accf[x].0 || accf[x].1 < sf[x].0)
+        }
+        _ => true,
+    })
+}
+
+/// Inclusive range of `v0 + a·tx + b·ty + dk·k` over the lane box and
+/// iterations `0..trip`.
+fn extent(v0: i64, a: i64, b: i64, dk: i64, trip: i64, bv: LBox) -> (i64, i64) {
+    let span = |k: i64, lo: i64, hi: i64| (k * lo).min(k * hi)..=(k * lo).max(k * hi);
+    let (x, y, t) = (
+        span(a, bv.txl, bv.txh - 1),
+        span(b, bv.tyl, bv.tyh - 1),
+        span(dk, 0, trip - 1),
+    );
+    (
+        v0 + x.start() + y.start() + t.start(),
+        v0 + x.end() + y.end() + t.end(),
+    )
 }
 
 fn aop_env(bc: &ByteCode, env: &[i64], a: AOp) -> i64 {
@@ -1501,7 +1646,9 @@ impl VBlock<'_> {
                         let lr = &region.loops[lix as usize];
                         if let Some((rl, trip, off)) = rec.take() {
                             debug_assert_eq!(rl, lix, "loop records do not nest");
-                            if self.loop_box_constant(region, lr, trip, cur) {
+                            if self.loop_box_constant(region, lr, trip, cur)
+                                && record_alias_free(region, lr, trip, &trace[off..])
+                            {
                                 // Back at the test after the first
                                 // iteration: fold it into one record and
                                 // jump to the exit state.
@@ -1828,41 +1975,101 @@ impl VBlock<'_> {
     /// The loop kernel: `trip` iterations of `acc ±= a·b` over the lane
     /// box, every address advancing by its per-iteration delta (`addrs`
     /// and `deltas` hold `(r, c)` for `a`, `b` and the accumulator).  A
-    /// plain instance is the one-iteration case.
+    /// plain instance is the one-iteration case.  Windowed sources are
+    /// packed through the window first; a global accumulator (one fixed
+    /// element per lane) is gathered lane-contiguous, run like a register
+    /// tile, and stored back into the window.
     fn native_loop(&mut self, hot: Hot, addrs: &[i64], deltas: &[i64], trip: i64, bv: LBox) {
         let n = self.n as i64;
         let (bxd, _) = self.bc.block;
-        let d = &self.bc.regs[hot.x as usize];
+        let mut pack = std::mem::take(&mut self.nscratch.pack);
+        let mut gathered = std::mem::take(&mut self.nscratch.acc);
+        for (i, src) in [hot.a, hot.b].into_iter().enumerate() {
+            if let NSrc::Window(ga) = src {
+                let (r0, c0) = (addrs[2 * i], addrs[2 * i + 1]);
+                let (dr, dc) = (deltas[2 * i], deltas[2 * i + 1]);
+                let p = &mut pack[i];
+                p.clear();
+                for k in 0..trip {
+                    for ty in bv.tyl..bv.tyh {
+                        for tx in bv.txl..bv.txh {
+                            let (r, c) = ga.at(r0 + dr * k, c0 + dc * k, tx, ty);
+                            p.push(self.gread(ga.g as usize, r, c));
+                        }
+                    }
+                }
+            }
+        }
         let (r0, c0, dr, dc) = (addrs[4], addrs[5], deltas[4], deltas[5]);
-        debug_assert!(
-            [(r0, c0), (r0 + (trip - 1) * dr, c0 + (trip - 1) * dc)]
-                .iter()
-                .all(|&(r, c)| r >= 0 && r < d.rows && c >= 0 && c < d.cols),
-            "register tile index out of bounds"
-        );
-        // The accumulator walks the register arena, which `loop_fma`
-        // takes mutably, so its `data` stays empty.
-        let acc = Walk {
-            data: &[],
-            base: (self.bc.reg_off[hot.x as usize] as i64 + r0 + c0 * d.rows) * n,
-            dk: (dr + dc * d.rows) * n,
-            dtx: 1,
-            dty: bxd,
+        let acc = match hot.acc {
+            NDst::Reg { x } => {
+                let d = &self.bc.regs[x as usize];
+                debug_assert!(
+                    [(r0, c0), (r0 + (trip - 1) * dr, c0 + (trip - 1) * dc)]
+                        .iter()
+                        .all(|&(r, c)| r >= 0 && r < d.rows && c >= 0 && c < d.cols),
+                    "register tile index out of bounds"
+                );
+                // The accumulator walks the register arena, which
+                // `loop_fma` takes mutably, so its `data` stays empty.
+                Walk {
+                    data: &[],
+                    base: (self.bc.reg_off[x as usize] as i64 + r0 + c0 * d.rows) * n,
+                    dk: (dr + dc * d.rows) * n,
+                    dtx: 1,
+                    dty: bxd,
+                }
+            }
+            NDst::Global(ga) => {
+                debug_assert_eq!((dr, dc), (0, 0), "a global accumulator stays put");
+                gathered.clear();
+                gathered.resize(self.n, 0.0);
+                for ty in bv.tyl..bv.tyh {
+                    for tx in bv.txl..bv.txh {
+                        let (r, c) = ga.at(r0, c0, tx, ty);
+                        gathered[(tx + ty * bxd) as usize] = self.gread(ga.g as usize, r, c);
+                    }
+                }
+                Walk {
+                    data: &[],
+                    base: 0,
+                    dk: 0,
+                    dtx: 1,
+                    dty: bxd,
+                }
+            }
         };
         // Field-disjoint reborrows: sources read smem / the global
-        // snapshot, the accumulator mutates regs.
+        // snapshot / the packs, the accumulator mutates regs or the
+        // gathered copy.
         let smem: &[f32] = self.smem;
         let mats = self.base;
-        let [pa, pb] = &mut self.nscratch.pack;
-        let a =
-            walk(hot.a, addrs[0], addrs[1], deltas[0], deltas[1], smem, mats).packed(pa, trip, bv);
-        let b =
-            walk(hot.b, addrs[2], addrs[3], deltas[2], deltas[3], smem, mats).packed(pb, trip, bv);
+        let [pa, pb] = &mut pack;
+        let a = source(hot.a, &addrs[0..2], &deltas[0..2], smem, mats, pa, trip, bv);
+        let b = source(hot.b, &addrs[2..4], &deltas[2..4], smem, mats, pb, trip, bv);
+        let target: &mut [f32] = match hot.acc {
+            NDst::Reg { .. } => self.regs,
+            NDst::Global(_) => &mut gathered,
+        };
         if hot.sub {
-            loop_fma::<true>(self.regs, acc, a, b, trip, bv);
+            loop_fma::<true>(target, acc, a, b, trip, bv);
         } else {
-            loop_fma::<false>(self.regs, acc, a, b, trip, bv);
+            loop_fma::<false>(target, acc, a, b, trip, bv);
         }
+        if let NDst::Global(ga) = hot.acc {
+            let win = &mut self.windows[ga.g as usize];
+            let [(rl, rh), (cl, ch)] = ga.footprint((r0, c0), (0, 0), 1, bv);
+            win.cover(rl, rh, cl, ch);
+            for ty in bv.tyl..bv.tyh {
+                for tx in bv.txl..bv.txh {
+                    let (r, c) = ga.at(r0, c0, tx, ty);
+                    let ix = win.index(r, c).expect("covered");
+                    win.write_at(ix, gathered[(tx + ty * bxd) as usize]);
+                }
+            }
+        }
+        self.nscratch.pack = pack;
+        self.nscratch.acc = gathered;
     }
 
     /// Generic vectorized statement: op-by-op over the virtual f32
@@ -1898,6 +2105,15 @@ impl VBlock<'_> {
                                     .copy_from_slice(&self.regs[base + l0..base + l0 + len]);
                             }
                         }
+                        NSrc::Window(ga) => {
+                            for ty in bv.tyl..bv.tyh {
+                                for tx in bv.txl..bv.txh {
+                                    let (gr, gc) = ga.at(r, c, tx, ty);
+                                    let v = self.gread(ga.g as usize, gr, gc);
+                                    self.fregs[doff + (ty * bxd + tx) as usize] = v;
+                                }
+                            }
+                        }
                         _ => {
                             let smem: &[f32] = self.smem;
                             let mats = self.base;
@@ -1922,7 +2138,36 @@ impl VBlock<'_> {
                     c,
                     mul_first,
                 } => self.vec_fma(op, dst, a, b, c, mul_first),
-                NOp::Store { src, x, op, .. } => {
+                NOp::Store {
+                    src,
+                    dst: NDst::Global(ga),
+                    op,
+                    ..
+                } => {
+                    let (r, c) = (addrs[ai], addrs[ai + 1]);
+                    ai += 2;
+                    // Lane order, one read-modify-write per lane, exactly
+                    // as the interpreter stores.
+                    let g = ga.g as usize;
+                    for ty in bv.tyl..bv.tyh {
+                        for tx in bv.txl..bv.txh {
+                            let (gr, gc) = ga.at(r, c, tx, ty);
+                            let v = self.fregs[src as usize * n + (ty * bxd + tx) as usize];
+                            let new = match op {
+                                AssignOp::Assign => v,
+                                AssignOp::AddAssign => self.gread(g, gr, gc) + v,
+                                AssignOp::SubAssign => self.gread(g, gr, gc) - v,
+                            };
+                            self.windows[g].set(gr, gc, new);
+                        }
+                    }
+                }
+                NOp::Store {
+                    src,
+                    dst: NDst::Reg { x },
+                    op,
+                    ..
+                } => {
                     let (r, c) = (addrs[ai], addrs[ai + 1]);
                     ai += 2;
                     let d = &self.bc.regs[x as usize];
@@ -2152,14 +2397,14 @@ fn walk<'x>(
     mats: &[&'x Matrix],
 ) -> Walk<'x> {
     match src {
-        NSrc::Global { g, ra, rb, ca, cb } => {
-            let m = mats[g as usize];
+        NSrc::Global(ga) => {
+            let m = mats[ga.g as usize];
             Walk {
                 data: &m.data,
                 base: r + c * m.ld,
                 dk: dr + dc * m.ld,
-                dtx: ra + ca * m.ld,
-                dty: rb + cb * m.ld,
+                dtx: ga.ra + ga.ca * m.ld,
+                dty: ga.rb + ga.cb * m.ld,
             }
         }
         NSrc::Shared { off, ld, dtx, dty } => Walk {
@@ -2170,6 +2415,37 @@ fn walk<'x>(
             dty,
         },
         NSrc::Reg { .. } => unreachable!("register sources resolve to lane slices"),
+        NSrc::Window(_) => unreachable!("windowed sources are packed"),
+    }
+}
+
+/// A loop-kernel operand: a windowed source walks its pack (`[k][ty][tx]`
+/// over the box, filled by the caller), any other walks its storage at
+/// the trace's `rc`, advancing `d` per iteration — packed when a strided
+/// gather repeats per lane row.
+#[allow(clippy::too_many_arguments)]
+fn source<'x>(
+    src: NSrc,
+    rc: &[i64],
+    d: &[i64],
+    smem: &'x [f32],
+    mats: &[&'x Matrix],
+    pack: &'x mut Vec<f32>,
+    trip: i64,
+    bv: LBox,
+) -> Walk<'x> {
+    match src {
+        NSrc::Window(_) => {
+            let w = bv.txh - bv.txl;
+            Walk {
+                data: pack,
+                base: -(bv.txl + bv.tyl * w),
+                dk: w * (bv.tyh - bv.tyl),
+                dtx: 1,
+                dty: w,
+            }
+        }
+        _ => walk(src, rc[0], rc[1], d[0], d[1], smem, mats).packed(pack, trip, bv),
     }
 }
 

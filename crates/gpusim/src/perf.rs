@@ -321,6 +321,8 @@ struct CStage {
     dst_ld: i64,
     mode: AllocMode,
     strided: bool,
+    /// Unique staging-site id, used by the walker's stage memo.
+    site: usize,
 }
 
 #[derive(Clone, Debug)]
@@ -356,6 +358,8 @@ struct Compiled {
     body: Vec<CStmt>,
     nvars: usize,
     nsites: usize,
+    /// Staging sites.
+    nstages: usize,
     smem_load_cost: f64,
     /// Block-index bind variables: (env index, `true` for `BlockY`).
     block_binds: Vec<(usize, bool)>,
@@ -380,6 +384,7 @@ struct Compiler<'a> {
     /// Variables holding a thread index: (env index, `true` for `ty`).
     lane_vars: Vec<(usize, bool)>,
     sites: usize,
+    stages: usize,
     /// Known inclusive value ranges of in-scope iteration variables, used
     /// for guard specialization (nvcc-style "fulltile" kernels: guards
     /// provably true over the whole iteration box are dropped).
@@ -410,6 +415,7 @@ impl<'a> Compiler<'a> {
             block_binds: Vec::new(),
             lane_vars: Vec::new(),
             sites: 0,
+            stages: 0,
             ranges: HashMap::new(),
         };
         // Assign base offsets (words), 32-word aligned so arrays never
@@ -481,6 +487,7 @@ impl<'a> Compiler<'a> {
             body,
             nvars: self.vars.len(),
             nsites: self.sites,
+            nstages: self.stages,
             smem_load_cost: self.smem_load_cost,
             block_binds: self.block_binds,
         }
@@ -762,6 +769,10 @@ impl<'a> Compiler<'a> {
             dst_ld: self.ld_of(&st.dst),
             mode: st.mode,
             strided: st.strided_copy,
+            site: {
+                self.stages += 1;
+                self.stages - 1
+            },
         })
     }
 }
@@ -804,6 +815,8 @@ fn arith_cost(rhs: &ScalarExpr, op: AssignOp) -> (f64, f64) {
 
 const ITER_SAMPLE_THRESHOLD: i64 = 16;
 const ITER_SAMPLES: i64 = 8;
+/// Staging iterations sampled per visit (they are identical in shape).
+const STAGE_SAMPLES: i64 = 4;
 
 /// One bit per lane of the walked warp.
 type LaneMask = u32;
@@ -854,6 +867,18 @@ fn memoized<T: Copy>(
     t
 }
 
+/// One staging iteration of one warp: each lane's tile element, fixed
+/// for the walker, and the copy's global event and shared-store replays
+/// keyed like the access memos.  The guard keeps the lanes whose source
+/// element is in bounds, so `(mask, uniform part mod 32)` fixes both
+/// address vectors up to a shift of the global one by a multiple of 32
+/// words.
+#[derive(Clone)]
+struct StageMemo {
+    tile: [Option<(i64, i64)>; WARP],
+    events: EventMemo<(GmemEvent, u64)>,
+}
+
 /// Walks one warp of one block.  An expression's uniform part is computed
 /// once per visit; only its lane part (fixed per walker) varies by lane.
 struct Walker<'a> {
@@ -873,6 +898,8 @@ struct Walker<'a> {
     /// conflicts over 16 or 32 banks.
     gmem_memo: Vec<EventMemo<GmemEvent>>,
     smem_memo: Vec<EventMemo<u64>>,
+    /// Per-staging-site, per-sampled-iteration memos (see [`StageMemo`]).
+    stage_memo: Vec<Option<StageMemo>>,
     /// The warp-uniform environment, `nvars` values.
     env: Vec<i64>,
     /// Thread indices `(tx, ty)` of each lane.
@@ -921,6 +948,7 @@ impl<'a> Walker<'a> {
             reuse: vec![VecDeque::new(); compiled.nsites],
             gmem_memo: vec![Vec::new(); compiled.nsites],
             smem_memo: vec![Vec::new(); compiled.nsites],
+            stage_memo: vec![None; compiled.nstages * STAGE_SAMPLES as usize],
             env,
             lanes,
             active,
@@ -1113,45 +1141,58 @@ impl<'a> Walker<'a> {
         let c0 = self.at_lane(&st.src_col0, lane0);
         let elems = st.rows * st.cols;
         let iters = (elems + self.threads_per_block - 1) / self.threads_per_block;
-        // Iterations are identical in shape; sample up to 4.
-        let sample = iters.min(4);
+        let sample = iters.min(STAGE_SAMPLES);
         let iter_weight = iters as f64 / sample as f64;
         for s in 0..sample {
             let iter = s * iters / sample;
-            let mut gl: [Option<i64>; WARP] = [None; WARP];
-            let mut sm: [Option<i64>; WARP] = [None; WARP];
-            for lane in 0..WARP {
-                let tid = self.warp_index * WARP as i64 + lane as i64;
-                if tid >= self.threads_per_block {
-                    continue;
+            let (warp, threads) = (self.warp_index, self.threads_per_block);
+            let memo = self.stage_memo[st.site * STAGE_SAMPLES as usize + s as usize]
+                .get_or_insert_with(|| StageMemo {
+                    tile: std::array::from_fn(|lane| {
+                        let tid = warp * WARP as i64 + lane as i64;
+                        let e = tid + iter * threads;
+                        // Column-major traversal coalesces on the
+                        // column-major source; the strided variant walks
+                        // rows first.
+                        (tid < threads && e < elems).then(|| {
+                            if st.strided {
+                                (e / st.cols, e % st.cols)
+                            } else {
+                                (e % st.rows, e / st.rows)
+                            }
+                        })
+                    }),
+                    events: Vec::new(),
+                });
+            let mut tile = memo.tile;
+            let mut mask: LaneMask = 0;
+            for (lane, t) in tile.iter_mut().enumerate() {
+                match *t {
+                    // Guarded off (edge tile).
+                    Some((r, c)) if r0 + r >= st.src_rows || c0 + c >= st.src_cols => *t = None,
+                    Some(_) => mask |= 1 << lane,
+                    None => {}
                 }
-                let e = tid + iter * self.threads_per_block;
-                if e >= elems {
-                    continue;
-                }
-                // Column-major traversal coalesces on the column-major
-                // source; the strided variant walks rows first.
-                let (r, c) = if st.strided {
-                    (e / st.cols, e % st.cols)
-                } else {
-                    (e % st.rows, e / st.rows)
-                };
-                let (gr, gc) = (r0 + r, c0 + c);
-                if gr >= st.src_rows || gc >= st.src_cols {
-                    continue; // guarded off (edge tile)
-                }
-                gl[lane] = Some(st.src_base + gr + gc * st.src_ld);
-                let (dr, dc) = match st.mode {
-                    AllocMode::Transpose => (c, r),
-                    _ => (r, c),
-                };
-                sm[lane] = Some(st.dst_base + dr + dc * st.dst_ld);
             }
+            let u = st.src_base + r0 + c0 * st.src_ld;
+            let (cc, banks) = (self.device.cc, self.device.smem_banks);
+            let (ev, rep) = memoized(&mut memo.events, mask, u, || {
+                let gl = tile.map(|t| t.map(|(r, c)| u + r + c * st.src_ld));
+                let sm = tile.map(|t| {
+                    t.map(|(r, c)| {
+                        let (dr, dc) = match st.mode {
+                            AllocMode::Transpose => (c, r),
+                            _ => (r, c),
+                        };
+                        st.dst_base + dr + dc * st.dst_ld
+                    })
+                });
+                (classify_gmem(cc, &gl), smem_replays(banks, &sm))
+            });
             let w = self.weight * iter_weight;
-            record_gmem(&mut self.counters, self.device.cc, &gl, false, w);
+            apply_gmem(&mut self.counters, cc, ev, false, w);
             self.counters.smem_store += w;
-            let rep = smem_replays(self.device.smem_banks, &sm) as f64;
-            self.counters.smem_replays += rep * w;
+            self.counters.smem_replays += rep as f64 * w;
             // ~4 instructions per copied element per thread: index math,
             // load, store, loop bookkeeping.
             self.counters.instructions += 4.0 * w;

@@ -21,12 +21,14 @@
 //!
 //! Execution is **block-parallel**: CUDA blocks are independent in every
 //! kernel this framework generates, so the grid is fanned out with rayon.
-//! Each block runs against an immutable snapshot of global memory plus a
-//! private write overlay (read-your-writes within the block); overlays are
-//! merged into the buffers sequentially in `(by, bx)` order afterwards.
-//! Within one block the overlay holds one final value per distinct
-//! element, and across blocks the sequential merge reproduces the block
-//! loop order of the oracle, so results are bit-identical to
+//! Each block runs against an immutable snapshot of global memory plus one
+//! private write window per written global ([`Window`]: a dense box of
+//! the matrix with a written-bit per element, read-your-writes within the
+//! block); windows are merged into the buffers sequentially in `(by, bx)`
+//! order afterwards, copying written elements only.  Within one block the
+//! window holds one final value per distinct element, and across blocks
+//! the sequential merge reproduces the block loop order of the oracle, so
+//! results are bit-identical to
 //! `exec_program` whenever no block reads another block's output — which
 //! holds for all generated kernels and is enforced by the
 //! `engine_differential` test over the full 24-routine pipeline.
@@ -48,8 +50,6 @@ use oa_loopir::slots::SlotExpr;
 use oa_loopir::stmt::{stage_src_coords, AssignOp};
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::bytecode::{
     AOp, AddrClass, ArrRef, ByteCode, Instr, GC_SLOT, GR_SLOT, SC_SLOT, SR_SLOT, TX_SLOT, TY_SLOT,
@@ -57,46 +57,7 @@ use crate::bytecode::{
 use crate::exec::ExecError;
 use crate::launch::Builtin;
 use crate::native::{NativeScratch, NativeTable};
-
-/// Identity-ish hasher for the packed element keys of a write overlay —
-/// the key is already well-mixed by the multiply.
-#[derive(Default)]
-pub(crate) struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("overlay keys are u64")
-    }
-    fn write_u64(&mut self, k: u64) {
-        self.0 = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// A block's private global-memory write log: packed element key → final
-/// value written by this block.
-pub(crate) type Overlay = HashMap<u64, f32, BuildHasherDefault<KeyHasher>>;
-
-const COORD_BITS: u32 = 28;
-const COORD_MASK: u64 = (1 << COORD_BITS) - 1;
-
-#[inline]
-pub(crate) fn pack_key(arr: usize, r: i64, c: i64) -> u64 {
-    ((arr as u64) << (2 * COORD_BITS))
-        | ((r as u64 & COORD_MASK) << COORD_BITS)
-        | (c as u64 & COORD_MASK)
-}
-
-#[inline]
-pub(crate) fn unpack_key(k: u64) -> (usize, i64, i64) {
-    (
-        (k >> (2 * COORD_BITS)) as usize,
-        ((k >> COORD_BITS) & COORD_MASK) as i64,
-        (k & COORD_MASK) as i64,
-    )
-}
+use crate::window::{put_set, take_set, Hint, Window};
 
 /// Per-worker scratch reused across blocks and executions: all
 /// per-block state lives here, so steady-state execution allocates
@@ -108,7 +69,6 @@ struct VScratch {
     fregs: Vec<f32>,
     smem: Vec<f32>,
     regs: Vec<f32>,
-    overlay: Overlay,
     active: Vec<u64>,
     /// The all-lanes mask pattern, for cheap "is the mask full" tests.
     full: Vec<u64>,
@@ -126,7 +86,7 @@ thread_local! {
 impl ByteCode {
     /// Execute on the given buffers: prologue kernels, blank-zero checks,
     /// then the block-parallel grid with the deterministic `(by, bx)`
-    /// overlay merge (the oracle's block order).
+    /// window merge (the oracle's block order).
     pub fn execute(&self, bufs: &mut Buffers) -> Result<(), ExecError> {
         self.execute_impl(bufs, None)
     }
@@ -160,7 +120,8 @@ impl ByteCode {
         }
 
         let nblocks = self.total_blocks();
-        let logs: Vec<Result<Vec<(u64, f32)>, ExecError>> = {
+        let hints = self.hints.get(self.globals.len());
+        let logs: Vec<Result<Vec<Window>, ExecError>> = {
             let mut base = Vec::with_capacity(self.globals.len());
             for g in &self.globals {
                 base.push(
@@ -168,16 +129,15 @@ impl ByteCode {
                         .ok_or_else(|| ExecError::MissingBuffer(g.name.clone()))?,
                 );
             }
-            let base = &base;
-            let flags = &blank_flags;
+            let (base, flags, hints) = (&base, &blank_flags, &hints);
             (0..nblocks)
                 .into_par_iter()
-                .map(|rank| self.run_block(rank, base, flags, native))
+                .map(|rank| self.run_block(rank, base, flags, hints, native))
                 .collect()
         };
 
-        // Keys within one block's log are distinct, so drain order within
-        // a log cannot change the merged result; across blocks the
+        // Each window holds one value per element, so copy order within
+        // a window cannot change the merged result; across blocks the
         // sequential (by, bx) order reproduces the oracle's block loop.
         // Each global's buffer is resolved once, not per element.
         let mut outs: Vec<Option<&mut Matrix>> = self.globals.iter().map(|_| None).collect();
@@ -186,12 +146,20 @@ impl ByteCode {
                 outs[g] = Some(m);
             }
         }
+        let mut seen = vec![Hint::default(); self.globals.len()];
         for res in logs {
-            for (key, v) in res? {
-                let (g, r, c) = unpack_key(key);
-                outs[g].as_deref_mut().expect("checked above").set(r, c, v);
+            let wins = res?;
+            for (g, w) in wins.iter().enumerate().take(self.globals.len()) {
+                if !self.globals[g].written {
+                    continue;
+                }
+                if let Some(h) = w.merge_into(outs[g].as_deref_mut().expect("checked above")) {
+                    seen[g] = seen[g].larger(h);
+                }
             }
+            put_set(wins);
         }
+        self.hints.update(&seen);
         Ok(())
     }
 
@@ -200,11 +168,12 @@ impl ByteCode {
         rank: i64,
         base: &[&Matrix],
         blank_flags: &[bool],
+        hints: &[Hint],
         native: Option<&NativeTable>,
-    ) -> Result<Vec<(u64, f32)>, ExecError> {
+    ) -> Result<Vec<Window>, ExecError> {
         VSCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            self.run_block_in(rank, base, blank_flags, native, scratch)
+            self.run_block_in(rank, base, blank_flags, hints, native, scratch)
         })
     }
 
@@ -213,9 +182,10 @@ impl ByteCode {
         rank: i64,
         base: &[&Matrix],
         blank_flags: &[bool],
+        hints: &[Hint],
         native: Option<&NativeTable>,
         scratch: &mut VScratch,
-    ) -> Result<Vec<(u64, f32)>, ExecError> {
+    ) -> Result<Vec<Window>, ExecError> {
         let bx = rank % self.grid.0;
         let by = rank / self.grid.0;
         let n = self.threads_per_block() as usize;
@@ -244,7 +214,12 @@ impl ByteCode {
         scratch.smem.resize(self.smem_len, 0.0);
         scratch.regs.clear();
         scratch.regs.resize(self.reg_len * n, 0.0);
-        scratch.overlay.clear();
+        let mut windows = take_set(hints);
+        for (g, w) in windows.iter_mut().enumerate().take(self.globals.len()) {
+            if self.globals[g].written {
+                w.reset(base[g], hints[g]);
+            }
+        }
         scratch.active.clear();
         scratch.active.resize(words, 0);
         for lane in 0..n {
@@ -261,7 +236,7 @@ impl ByteCode {
             fregs: &mut scratch.fregs,
             smem: &mut scratch.smem,
             regs: &mut scratch.regs,
-            overlay: &mut scratch.overlay,
+            windows: &mut windows,
             base,
             blank_flags,
             active: &mut scratch.active,
@@ -272,7 +247,7 @@ impl ByteCode {
             nscratch: &mut scratch.native,
         };
         vb.run()?;
-        Ok(scratch.overlay.drain().collect())
+        Ok(windows)
     }
 }
 
@@ -294,7 +269,8 @@ pub(crate) struct VBlock<'a> {
     pub(crate) smem: &'a mut [f32],
     /// Flat register-tile arena: `regs[(reg_off[x] + r + c*rows)*n + lane]`.
     pub(crate) regs: &'a mut [f32],
-    pub(crate) overlay: &'a mut Overlay,
+    /// The block's write window per global (empty for unwritten ones).
+    pub(crate) windows: &'a mut [Window],
     pub(crate) base: &'a [&'a Matrix],
     pub(crate) blank_flags: &'a [bool],
     pub(crate) active: &'a mut Vec<u64>,
@@ -363,7 +339,7 @@ impl VBlock<'_> {
     #[inline]
     pub(crate) fn gread(&self, g: usize, r: i64, c: i64) -> f32 {
         if self.bc.globals[g].written {
-            if let Some(&v) = self.overlay.get(&pack_key(g, r, c)) {
+            if let Some(v) = self.windows[g].get(r, c) {
                 return v;
             }
         }
@@ -372,7 +348,7 @@ impl VBlock<'_> {
 
     #[inline]
     fn gwrite(&mut self, g: usize, r: i64, c: i64, v: f32) {
-        self.overlay.insert(pack_key(g, r, c), v);
+        self.windows[g].set(r, c, v);
     }
 
     #[inline]
@@ -946,22 +922,23 @@ mod tests {
         }
     }
 
-    /// Bit-exact comparison of bytecode vs oracle on fresh buffers.
-    fn assert_bit_identical(p: &Program, n: i64, seed: u64) {
+    /// Bit-exact comparison of `run` vs the oracle on fresh buffers.
+    fn assert_matches_oracle(p: &Program, n: i64, seed: u64, run: impl FnOnce(&mut Buffers)) {
         let b = Bindings::square(n);
         let mut oracle = alloc_buffers(p, &b, seed);
         exec_program(p, &b, &mut oracle).expect("oracle exec");
         let mut fast = alloc_buffers(p, &b, seed);
-        let bc = ByteCode::compile(p, &b).expect("bytecode compile");
-        bc.execute(&mut fast).expect("bytecode exec");
+        run(&mut fast);
         for (name, m) in &oracle {
-            let f = &fast[name];
-            assert_eq!(
-                m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                f.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "buffer {name} differs"
-            );
+            let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(m), bits(&fast[name]), "buffer {name} differs");
         }
+    }
+
+    /// Bit-exact comparison of bytecode vs oracle on fresh buffers.
+    fn assert_bit_identical(p: &Program, n: i64, seed: u64) {
+        let bc = ByteCode::compile(p, &Bindings::square(n)).expect("bytecode compile");
+        assert_matches_oracle(p, n, seed, |bufs| bc.execute(bufs).expect("bytecode exec"));
     }
 
     #[test]
@@ -1009,14 +986,86 @@ mod tests {
         assert_eq!(first["C"].data, second["C"].data);
     }
 
+    /// Grouping only: every thread accumulates straight into global `C`,
+    /// so all of `C` goes through the write windows.
+    fn global_store_gemm() -> Program {
+        let mut p = gemm_nn_like("g");
+        thread_grouping(&mut p, "Li", "Lj", params()).unwrap();
+        p
+    }
+
+    /// Bytecode and native against the oracle.
+    fn assert_engines_bit_identical(p: &Program, n: i64, seed: u64) {
+        assert_bit_identical(p, n, seed);
+        let np = crate::NativeProgram::compile(p, &Bindings::square(n)).expect("native compile");
+        assert_matches_oracle(p, n, seed, |bufs| np.execute(bufs).expect("native exec"));
+    }
+
+    /// Bytecode against the oracle with every block's first box hinted
+    /// to `rows × cols` at `(dr, dc)` from its first write.
+    fn assert_hinted_bit_identical(p: &Program, n: i64, seed: u64, hint: [i64; 4]) {
+        let bc = ByteCode::compile(p, &Bindings::square(n)).expect("bytecode compile");
+        assert!(bc.total_blocks() > 1, "needs several blocks");
+        let [dr, dc, rows, cols] = hint;
+        bc.hints.seed(bc.globals.len(), dr, dc, rows, cols);
+        assert_matches_oracle(p, n, seed, |bufs| bc.execute(bufs).expect("bytecode exec"));
+    }
+
     #[test]
-    fn key_packing_roundtrip() {
-        for &(a, r, c) in &[
-            (0usize, 0i64, 0i64),
-            (3, 1023, 4095),
-            (7, 1 << 27, (1 << 28) - 1),
-        ] {
-            assert_eq!(unpack_key(pack_key(a, r, c)), (a, r, c));
-        }
+    fn overlapping_boxes_merge_written_elements_only() {
+        // Hint every block's first box to the whole matrix (the box is
+        // cut to it): each block's box then holds every other block's
+        // elements, unwritten.  Merging unmasked elements would overwrite
+        // the earlier blocks' C with the later blocks' blanks.
+        assert_hinted_bit_identical(&global_store_gemm(), 16, 3, [-32, -32, 64, 64]);
+    }
+
+    #[test]
+    fn read_your_write_after_sub_assign() {
+        // C[i][j] -= A[i][k]·B[k][j] over k, then C[i][j] = C[i][j]·A[i][j]:
+        // each SubAssign reads the previous one's write, and the final
+        // load reads the last, all from the block's window.
+        use oa_loopir::scalar::{Access, ScalarExpr};
+        use oa_loopir::stmt::{AssignStmt, Stmt};
+        let mut p = gemm_nn_like("g");
+        p.rewrite_loop("Lk", &mut |mut lk| {
+            if let Stmt::Assign(a) = &mut lk.body[0] {
+                a.op = AssignOp::SubAssign;
+            }
+            let scale = Stmt::Assign(AssignStmt::new(
+                Access::idx("C", "i", "j"),
+                AssignOp::Assign,
+                ScalarExpr::mul(
+                    ScalarExpr::load(Access::idx("C", "i", "j")),
+                    ScalarExpr::load(Access::idx("A", "i", "j")),
+                ),
+            ));
+            vec![Stmt::Loop(Box::new(lk)), scale]
+        });
+        thread_grouping(&mut p, "Li", "Lj", params()).unwrap();
+        assert_engines_bit_identical(&p, 16, 41);
+        assert_engines_bit_identical(&p, 19, 43);
+    }
+
+    #[test]
+    fn add_assign_on_an_unwritten_element_reads_the_snapshot() {
+        // The first k iteration's `C += …` reads C's incoming value,
+        // which only the snapshot holds.
+        let p = global_store_gemm();
+        let bufs = alloc_buffers(&p, &Bindings::square(16), 5);
+        assert!(
+            bufs["C"].data.iter().all(|&v| v != 0.0),
+            "C must start non-zero for the snapshot read to show"
+        );
+        assert_engines_bit_identical(&p, 16, 5);
+    }
+
+    #[test]
+    fn writes_outside_the_first_box_grow_it() {
+        // A 1×1 first box: every further write of the block lands outside
+        // it, so the box grows (`window::tests` pins the sizes).
+        let p = global_store_gemm();
+        assert_hinted_bit_identical(&p, 16, 9, [0, 0, 1, 1]);
+        assert_hinted_bit_identical(&p, 19, 29, [0, 0, 1, 1]);
     }
 }
