@@ -24,10 +24,12 @@
 //! (per-column substitution) rows are the served triangular winners,
 //! whose nests store into a written global.  A GEMM-family row that
 //! replays no loop record fails the run: the native tier fell back to
-//! per-instance replay without saying so.  So does a serving row with a
-//! `store-shape` or `written-global-load` reject: a served nest went back
-//! to the interpreter.  `--quick` (alias `--smoke`) trims the routine set
-//! and iteration budget for smoke runs.
+//! per-instance replay without saying so.  So does a 32 × 16 GEMM-family
+//! serving row that replays more loop records per execute than blocks ×
+//! K blocks (its K-step loop stopped folding into two-level records), and
+//! a serving row with a `store-shape` or `written-global-load` reject (a
+//! served nest went back to the interpreter).  `--quick` (alias
+//! `--smoke`) trims the routine set and iteration budget for smoke runs.
 
 use oa_core::autotune::json::Json;
 use oa_core::autotune::report::{NativeCoverageStats, TuneEvent};
@@ -80,6 +82,8 @@ struct Measurement {
     /// Native on the calling thread only.
     native_1t_secs: f64,
     coverage: NativeCoverageStats,
+    /// Loop records one native execute replays.
+    records_per_execute: u64,
 }
 
 impl Measurement {
@@ -122,6 +126,9 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
         exec_program(p, &bindings, bufs).expect("oracle exec");
     });
 
+    let before = native.coverage().loop_records;
+    native.execute(&mut base.clone()).expect("native exec");
+    let records_per_execute = native.coverage().loop_records - before;
     // Coverage after all launches: entries/fallbacks accumulate over the
     // warm-up and every timed iteration.
     let cov = native.coverage();
@@ -149,6 +156,7 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
         native_secs,
         native_1t_secs,
         coverage,
+        records_per_execute,
     }
 }
 
@@ -190,7 +198,7 @@ fn tuned_shape(r: RoutineId, script: &str, params: TileParams) -> Program {
 /// index moves every iteration), `[16, 16, 16, 16, 16]` (256-lane blocks,
 /// one accumulator per lane over the K tile, also TRMM-RU-T's peel
 /// script) and TRSM's solver shape `[16, 64, 1, 64, 8]` (64 one-column
-/// lanes).
+/// lanes).  All but TRSM's step K by [`SERVING_KB`].
 fn serving_shapes() -> Vec<(String, RoutineId, Program)> {
     let gemm_nn = RoutineId::Gemm(Trans::N, Trans::N);
     let gemm_tn = RoutineId::Gemm(Trans::T, Trans::N);
@@ -201,7 +209,7 @@ fn serving_shapes() -> Vec<(String, RoutineId, Program)> {
         tx,
         thr_i,
         thr_j,
-        kb: 16,
+        kb: SERVING_KB,
         unroll: 0,
     };
     vec![
@@ -265,6 +273,9 @@ fn serving_shapes() -> Vec<(String, RoutineId, Program)> {
         ),
     ]
 }
+
+/// The K tile of the `*-t32x16` and `*-t16x16` serving shapes.
+const SERVING_KB: i64 = 16;
 
 /// Lanes of the widest f32 vector unit the host reports at runtime.
 fn simd_width() -> usize {
@@ -522,6 +533,10 @@ fn main() {
                         Json::Int(m.coverage.instances as i64),
                     ),
                     (
+                        "records_per_execute".to_string(),
+                        Json::Int(m.records_per_execute as i64),
+                    ),
+                    (
                         "rejects".to_string(),
                         Json::Obj(
                             m.coverage
@@ -585,6 +600,21 @@ fn main() {
         .collect();
     if !silent.is_empty() {
         eprintln!("FAIL: GEMM-family rows replayed no loop record: {silent:?}");
+        std::process::exit(1);
+    }
+    // On the 32 × 16 serving shape the K-step loop folds around the
+    // register-tile loop: one two-level record per block per K block.
+    let split: Vec<String> = measurements
+        .iter()
+        .filter(|m| m.routine.starts_with("GEMM") && m.routine.ends_with("-t32x16"))
+        .filter(|m| m.records_per_execute as i64 > m.blocks * (m.n / SERVING_KB))
+        .map(|m| format!("{} ({} records)", m.routine, m.records_per_execute))
+        .collect();
+    if !split.is_empty() {
+        eprintln!(
+            "FAIL: 32x16 GEMM-family serving rows replayed more loop records than blocks x K \
+             blocks: {split:?}"
+        );
         std::process::exit(1);
     }
     // Every nest of a served kernel that stores into, or reads back, a

@@ -60,6 +60,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::exec::{has_barrier, ExecError};
 use crate::launch::{extract_launch, Builtin};
+use crate::vexec::{plan_move, MoveFallback, MovePlan};
 use crate::window::Hints;
 
 /// The per-thread specials, registered as frame slots `0..6` before any
@@ -330,6 +331,9 @@ pub struct ByteCode {
     pub(crate) lane_cls: Vec<Lane>,
     /// Per-global write-window sizing hints ([`crate::vexec`]).
     pub(crate) hints: Hints,
+    /// Per register-tile move, its bulk form or why it has none
+    /// ([`crate::vexec`]).
+    pub(crate) move_plans: Vec<Result<MovePlan, MoveFallback>>,
 }
 
 impl ByteCode {
@@ -439,7 +443,7 @@ impl ByteCode {
             }
         }
 
-        Ok(ByteCode {
+        let mut bc = ByteCode {
             grid: launch.grid,
             block: launch.block,
             n_slots: lw.n_slots,
@@ -465,7 +469,36 @@ impl ByteCode {
             prologue_env,
             lane_cls,
             hints: Hints::default(),
+            move_plans: Vec::new(),
+        };
+        bc.move_plans = bc.moves.iter().map(|mv| plan_move(&bc, mv)).collect();
+        Ok(bc)
+    }
+
+    /// Lane-affine class `(a, b)` of an address operand — its value at
+    /// lane `(tx, ty)` is lane 0's plus `a·tx + b·ty` — when every slot
+    /// it reads has one.
+    pub(crate) fn aop_lane(&self, a: AOp) -> Option<(i64, i64)> {
+        match a {
+            AOp::Const(_) => Some((0, 0)),
+            AOp::Slot(s) => self.slot_lane(s as usize),
+            AOp::Unit(u) => self.expr_lane(&self.units[u as usize]),
+        }
+    }
+
+    /// Lane-affine class of an affine slot expression.
+    pub(crate) fn expr_lane(&self, e: &SlotExpr) -> Option<(i64, i64)> {
+        e.terms.iter().try_fold((0, 0), |(a, b), &(s, c)| {
+            let (a1, b1) = self.slot_lane(s)?;
+            Some((a + c * a1, b + c * b1))
         })
+    }
+
+    fn slot_lane(&self, s: usize) -> Option<(i64, i64)> {
+        match self.lane_cls[s] {
+            Lane::Aff(a, b) => Some((a, b)),
+            _ => None,
+        }
     }
 
     /// Threads per block (lanes of the vector interpreter).

@@ -53,6 +53,14 @@
 //!   source the loop reads is either untouched by it (shared memory,
 //!   unwritten globals) or packed before it runs.  A box that may change
 //!   walks per iteration;
+//! * **two-level loop records** — a loop whose body runs one such record
+//!   with constant bounds, plus slot updates (the K-step loop around the
+//!   register-tile loop), folds with it into one record: the preflight
+//!   walks one iteration of each, proves the box constant and the record
+//!   alias-free over both loops, and the kernel keeps each lane chunk's
+//!   accumulators across them, so every accumulator element still takes
+//!   its updates in K order.  A single-level record is the case of one
+//!   outer trip;
 //! * **global stores through the write window** — a store into a global
 //!   and a load of a global the kernel writes use the block's write
 //!   window (`crate::window`), as the interpreter does: generic runs
@@ -81,9 +89,10 @@ use oa_loopir::slots::SlotExpr;
 use oa_loopir::stmt::{stage_src_coords, AssignOp};
 use oa_loopir::{CmpOp, Program};
 
-use crate::bytecode::{AOp, ArrRef, ByteCode, Instr, Lane, SC_SLOT, SR_SLOT};
+use crate::bytecode::{AOp, ArrRef, ByteCode, Instr, SC_SLOT, SR_SLOT};
 use crate::exec::ExecError;
-use crate::vexec::VBlock;
+use crate::vexec::{MoveFallback, VBlock};
+use crate::window::read_run;
 
 /// Process-wide region entries, summed over every [`NativeProgram`] ever
 /// run (per-program counts die with their program, e.g. on LRU eviction).
@@ -165,15 +174,27 @@ impl NativeProgram {
         for &(_, r) in &self.table.rejects {
             *by.entry(r.name()).or_insert(0) += 1;
         }
-        let mut rejects: Vec<(&'static str, u64)> = by.into_iter().collect();
-        rejects.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        let t = &self.table;
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let moves = MoveFallback::ALL.map(|m| (m.name(), load(&t.element_moves[m as usize])));
+        let fallback_reasons = REGION_FALLBACKS
+            .iter()
+            .zip(&t.fallback_by)
+            .map(|(&name, c)| (name, load(c)))
+            .chain(moves)
+            .filter(|&(_, c)| c > 0)
+            .collect();
         NativeCoverage {
-            regions: self.table.regions.len(),
+            regions: t.regions.len(),
             entries,
             fallbacks,
-            loop_records: self.table.loop_records.load(Ordering::Relaxed),
-            instances: self.table.instances.load(Ordering::Relaxed),
-            rejects,
+            loop_records: load(&t.loop_records),
+            instances: load(&t.instances),
+            two_level_records: load(&t.two_level),
+            bulk_moves: load(&t.bulk_moves),
+            element_moves: moves.iter().map(|m| m.1).sum(),
+            fallback_reasons: descending(fallback_reasons),
+            rejects: descending(by.into_iter().collect()),
         }
     }
 
@@ -186,14 +207,35 @@ impl NativeProgram {
         let _ = writeln!(
             s,
             "native lowering: {} region(s), {} reject(s), entries={} fallbacks={} \
-             loop-records={} instances={}",
+             loop-records={} two-level={} instances={} bulk-moves={} element-moves={}",
             cov.regions,
             self.table.rejects.len(),
             cov.entries,
             cov.fallbacks,
             cov.loop_records,
+            cov.two_level_records,
             cov.instances,
+            cov.bulk_moves,
+            cov.element_moves,
         );
+        if !cov.fallback_reasons.is_empty() {
+            let _ = writeln!(s, "  fallback reasons: {:?}", cov.fallback_reasons);
+        }
+        for (ix, (mv, plan)) in self.bc.moves.iter().zip(&self.bc.move_plans).enumerate() {
+            let _ = writeln!(
+                s,
+                "  move {ix}: {} {}x{} tile, strides ({}, {}), {}",
+                if mv.load { "load" } else { "store" },
+                mv.rows,
+                mv.cols,
+                mv.row_stride,
+                mv.col_stride,
+                match plan {
+                    Ok(p) => format!("bulk, origin lane steps {:?} {:?}", p.row, p.col),
+                    Err(why) => format!("per element ({})", why.name()),
+                }
+            );
+        }
         for (k, r) in self.table.regions.iter().enumerate() {
             let (mut runs, mut stages) = (0usize, 0usize);
             for st in &r.stmts {
@@ -215,11 +257,31 @@ impl NativeProgram {
             for &(pc, op) in &r.pf {
                 let PfOp::Loop(lix) = op else { continue };
                 let lr = &r.loops[lix as usize];
-                let _ = writeln!(
-                    s,
-                    "    loop record {lix}: test pc {pc}  run {}  step {}  address deltas {:?}",
-                    lr.sid, lr.step, lr.addr_deltas,
-                );
+                let trips = |lr: &LoopRec| lr.trip.map_or("?".into(), |t| t.to_string());
+                let _ = match lr.inner {
+                    None => writeln!(
+                        s,
+                        "    loop record {lix}: test pc {pc}  run {}  step {}  trips {}  \
+                         address deltas {:?}",
+                        lr.sid,
+                        lr.step,
+                        trips(lr),
+                        lr.addr_deltas,
+                    ),
+                    Some(il) => {
+                        let inner = &r.loops[il as usize];
+                        writeln!(
+                            s,
+                            "    loop record {lix}: two-level, outer test pc {pc} around record \
+                             {il}  run {}  trips {}x{}  outer deltas {:?}  inner deltas {:?}",
+                            lr.sid,
+                            trips(lr),
+                            trips(inner),
+                            lr.addr_deltas,
+                            inner.addr_deltas,
+                        )
+                    }
+                };
             }
         }
         if !self.table.rejects.is_empty() {
@@ -256,8 +318,24 @@ pub struct NativeCoverage {
     pub loop_records: u64,
     /// Statement instances replayed, one per iteration of a loop record.
     pub instances: u64,
+    /// Of `loop_records`, the two-level ones: a loop whose every
+    /// iteration runs one whole inner record, replayed as one kernel.
+    pub two_level_records: u64,
+    /// Register-tile moves run in bulk (lane runs).
+    pub bulk_moves: u64,
+    /// Register-tile moves run per element.
+    pub element_moves: u64,
+    /// Why regions fell back and moves ran per element: reason → count,
+    /// non-zero ones only, descending.
+    pub fallback_reasons: Vec<(&'static str, u64)>,
     /// Reject-reason histogram, descending by count.
     pub rejects: Vec<(&'static str, u64)>,
+}
+
+/// Sort a `(name, count)` histogram by descending count, then name.
+fn descending(mut h: Vec<(&'static str, u64)>) -> Vec<(&'static str, u64)> {
+    h.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    h
 }
 
 /// Why the pattern matcher refused to lower a loop nest.  A reject is
@@ -324,6 +402,30 @@ pub(crate) struct NativeTable {
     /// Statement instances replayed, each iteration of a loop record
     /// counting one (runtime, relaxed).
     pub(crate) instances: AtomicU64,
+    /// Of `loop_records`, the two-level ones (runtime, relaxed).
+    pub(crate) two_level: AtomicU64,
+    /// Fallbacks by reason, in [`REGION_FALLBACKS`] order.
+    pub(crate) fallback_by: [AtomicU64; REGION_FALLBACKS.len()],
+    /// Register-tile moves run in bulk.
+    pub(crate) bulk_moves: AtomicU64,
+    /// Register-tile moves run per element, by [`MoveFallback::ALL`]
+    /// reason.
+    pub(crate) element_moves: [AtomicU64; MoveFallback::ALL.len()],
+}
+
+/// Why a region fell back at run time: its entry mask diverged, or the
+/// preflight met a guard or loop test that does not cut the lane box.
+const REGION_FALLBACKS: [&str; 2] = ["entry-mask", "box-cut"];
+
+impl NativeTable {
+    /// Count one register-tile move, bulk or per element.
+    pub(crate) fn count_move(&self, outcome: Result<(), MoveFallback>) {
+        let c = match outcome {
+            Ok(()) => &self.bulk_moves,
+            Err(why) => &self.element_moves[why as usize],
+        };
+        c.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// The active-lane set as a rectangular sub-box of the thread block:
@@ -338,7 +440,7 @@ pub(crate) struct LBox {
 }
 
 impl LBox {
-    const EMPTY: LBox = LBox {
+    pub(crate) const EMPTY: LBox = LBox {
         txl: 0,
         txh: 0,
         tyl: 0,
@@ -354,7 +456,7 @@ impl LBox {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.txl >= self.txh || self.tyl >= self.tyh
     }
 }
@@ -435,7 +537,10 @@ struct GuardInfo {
 /// A register-tile loop whose every iteration is one instance of the
 /// same hot run with lane-affine addresses that move by a constant per
 /// iteration: the preflight records it once, with its trip count, and
-/// the replay runs it as one loop kernel.
+/// the replay runs it as one loop kernel.  A *two-level* record is a
+/// loop whose every iteration runs one whole inner record (the K-step
+/// loop around the register-tile loop): the same run, with the inner
+/// record's deltas per inner iteration and this record's per outer one.
 #[derive(Debug)]
 struct LoopRec {
     /// The hot run the body reduces to.
@@ -446,6 +551,10 @@ struct LoopRec {
     exit: u32,
     /// Per-iteration advance of `var` (positive).
     step: i64,
+    /// The trip count, when the bounds are constants.
+    trip: Option<i64>,
+    /// The inner record a two-level record's body runs.
+    inner: Option<u32>,
     /// The guard enclosing the run, if any, with the per-iteration
     /// advance of each condition's `lhs − rhs`.
     guard: Option<(u32, Vec<i64>)>,
@@ -539,18 +648,30 @@ impl GAff {
         )
     }
 
-    /// Inclusive row and column ranges the lanes of `bv` address over
-    /// `trip` iterations that advance `(dr, dc)` from `(r, c)`.
+    /// Inclusive row and column ranges the lanes of `bv` address from
+    /// `(r, c)` over the iterations of `steps`, each advancing the
+    /// address by `(dr, dc)` for `trip` iterations.
     fn footprint(
         &self,
         (r, c): (i64, i64),
-        (dr, dc): (i64, i64),
-        trip: i64,
+        steps: &[((i64, i64), i64)],
         bv: LBox,
     ) -> [(i64, i64); 2] {
         [
-            extent(r, self.ra, self.rb, dr, trip, bv),
-            extent(c, self.ca, self.cb, dc, trip, bv),
+            extent(
+                r,
+                self.ra,
+                self.rb,
+                steps.iter().map(|&((dr, _), t)| (dr, t)),
+                bv,
+            ),
+            extent(
+                c,
+                self.ca,
+                self.cb,
+                steps.iter().map(|&((_, dc), t)| (dc, t)),
+                bv,
+            ),
         ]
     }
 
@@ -656,6 +777,10 @@ pub(crate) fn lower(bc: &ByteCode) -> NativeTable {
         fallbacks: AtomicU64::new(0),
         loop_records: AtomicU64::new(0),
         instances: AtomicU64::new(0),
+        two_level: AtomicU64::new(0),
+        fallback_by: Default::default(),
+        bulk_moves: AtomicU64::new(0),
+        element_moves: Default::default(),
     }
 }
 
@@ -709,30 +834,16 @@ impl<'a> RegionBuilder<'a> {
     /// Lane-affine class of a slot, or the reject for slots the affinity
     /// analysis could not classify.
     fn cls(&self, s: usize) -> Result<(i64, i64), NativeReject> {
-        match self.bc.lane_cls[s] {
-            Lane::Aff(a, b) => Ok((a, b)),
-            _ => Err(NativeReject::NonAffineAddress),
-        }
+        self.aop_aff(AOp::Slot(s as u32))
     }
 
     /// Lane-affine class of an address operand.
     fn aop_aff(&self, a: AOp) -> Result<(i64, i64), NativeReject> {
-        match a {
-            AOp::Const(_) => Ok((0, 0)),
-            AOp::Slot(s) => self.cls(s as usize),
-            AOp::Unit(u) => self.expr_aff(&self.bc.units[u as usize]),
-        }
+        self.bc.aop_lane(a).ok_or(NativeReject::NonAffineAddress)
     }
 
     fn expr_aff(&self, e: &SlotExpr) -> Result<(i64, i64), NativeReject> {
-        let mut aa = 0;
-        let mut bb = 0;
-        for &(s, c) in &e.terms {
-            let (a1, b1) = self.cls(s)?;
-            aa += c * a1;
-            bb += c * b1;
-        }
-        Ok((aa, bb))
+        self.bc.expr_lane(e).ok_or(NativeReject::NonAffineAddress)
     }
 
     fn uniform_bound(&self, a: AOp) -> Result<(), NativeReject> {
@@ -748,13 +859,11 @@ impl<'a> RegionBuilder<'a> {
         if self.writeback.iter().any(|w| w.0 == s) {
             return Ok(());
         }
-        match self.bc.lane_cls[s as usize] {
-            Lane::Aff(a, b) => {
-                self.writeback.push((s, a, b));
-                Ok(())
-            }
-            _ => Err(NativeReject::NonAffineWriteback),
-        }
+        let (a, b) = self
+            .cls(s as usize)
+            .map_err(|_| NativeReject::NonAffineWriteback)?;
+        self.writeback.push((s, a, b));
+        Ok(())
     }
 
     /// Match one loop: `LoopInit` / init `Eval`s / `LoopTest`, body
@@ -833,7 +942,10 @@ impl<'a> RegionBuilder<'a> {
         self.parse_items(i + 1, end - 1)?;
         let trip_one = matches!((lo, hi_src), (AOp::Const(l), AOp::Const(h)) if h - l == 1);
         if !trip_one {
-            if let Some(rec) = self.loop_record(i, end - 1) {
+            if let Some(mut rec) = self.loop_record(i, end - 1) {
+                if let (AOp::Const(l), AOp::Const(h)) = (lo, hi_src) {
+                    rec.trip = Some(((h - l).max(0) + rec.step - 1) / rec.step);
+                }
                 self.pf.push((i, PfOp::Loop(self.loops.len() as u32)));
                 self.loops.push(rec);
             }
@@ -849,7 +961,11 @@ impl<'a> RegionBuilder<'a> {
     /// either *carried* (only `StepAdd`ed: advances by the sum of its
     /// steps) or *overwritten* (`Eval` of an affine unit, or a trip-1
     /// loop's constant bounds) before any read in the same iteration; a
-    /// forward pass then gives each read its per-iteration advance.
+    /// forward pass then gives each read its per-iteration advance.  A
+    /// body that runs an inner loop record with constant bounds, and
+    /// nothing else but slot updates, makes this a two-level record: the
+    /// pass walks one inner iteration, so every advance it finds is per
+    /// outer iteration.
     fn loop_record(&self, test: usize, jump: usize) -> Option<LoopRec> {
         let code = &self.bc.code;
         let Instr::LoopTest {
@@ -912,6 +1028,7 @@ impl<'a> RegionBuilder<'a> {
         let pf_at = |pc: usize| self.pf.iter().find(|&&(p, _)| p == pc).map(|&(_, op)| op);
         let mut guard = None;
         let mut run = None;
+        let mut inner: Option<u32> = None;
         let mut pc = test + 1;
         while pc < jump {
             match code[pc] {
@@ -934,6 +1051,33 @@ impl<'a> RegionBuilder<'a> {
                 } if hh - l == 1 && steps.get(&v).is_some_and(|&s| s >= 1) => {
                     d.insert(v, 0);
                     d.insert(h, 0);
+                }
+                Instr::LoopInit {
+                    var: v,
+                    hi: h,
+                    lo: AOp::Const(_),
+                    hi_src: AOp::Const(_),
+                    ..
+                } if inner.is_none() && guard.is_none() && run.is_none() => {
+                    // Constant bounds: the inner record runs the same trips
+                    // every outer iteration.  A slot it steps would
+                    // advance by trips × steps per outer iteration, so the
+                    // outer body must reset each one before it.
+                    let t = (pc + 1..jump).find(|&i| !matches!(code[i], Instr::Eval { .. }))?;
+                    let Some(PfOp::Loop(ilix)) = pf_at(t) else {
+                        return None;
+                    };
+                    let il = &self.loops[ilix as usize];
+                    let reset = code[t + 1..il.exit as usize].iter().all(|ins| match ins {
+                        Instr::StepAdd { dst, .. } => written.get(dst) == Some(&true),
+                        _ => true,
+                    });
+                    if il.inner.is_some() || !reset {
+                        return None;
+                    }
+                    d.insert(v, 0);
+                    d.insert(h, 0);
+                    inner = Some(ilix);
                 }
                 Instr::LoopTest { uniform: true, .. } | Instr::LoopJump { .. } | Instr::PopMask => {
                 }
@@ -995,6 +1139,9 @@ impl<'a> RegionBuilder<'a> {
             pc += 1;
         }
         let (sid, addr_deltas) = run?;
+        if inner.is_some_and(|il| self.loops[il as usize].sid != sid) {
+            return None;
+        }
         let exit_deltas = written
             .keys()
             .map(|&s| Some((s, *d.get(&s)?)))
@@ -1005,6 +1152,8 @@ impl<'a> RegionBuilder<'a> {
             hi,
             exit,
             step,
+            trip: None,
+            inner,
             guard: guard.map(|(gix, deltas, ..)| (gix, deltas)),
             addr_deltas,
             exit_deltas,
@@ -1335,7 +1484,7 @@ fn detect_hot(ops: &[NOp], block: (i64, i64)) -> Option<Hot> {
 /// interval found by binary search); a two-axis condition is admitted
 /// only with a uniform corner-interval verdict.  `None` means the
 /// survivor set is not a box — abort to the interpreter.
-fn apply_cut(b: LBox, d0: i64, da: i64, db: i64, op: CmpOp) -> Option<LBox> {
+pub(crate) fn apply_cut(b: LBox, d0: i64, da: i64, db: i64, op: CmpOp) -> Option<LBox> {
     if b.is_empty() {
         return Some(b);
     }
@@ -1367,15 +1516,7 @@ fn apply_cut(b: LBox, d0: i64, da: i64, db: i64, op: CmpOp) -> Option<LBox> {
     ];
     let dmin = *corners.iter().min().expect("non-empty");
     let dmax = *corners.iter().max().expect("non-empty");
-    let v = match op {
-        CmpOp::Lt => verdict(dmax < 0, dmin >= 0),
-        CmpOp::Le => verdict(dmax <= 0, dmin > 0),
-        CmpOp::Gt => verdict(dmin > 0, dmax <= 0),
-        CmpOp::Ge => verdict(dmin >= 0, dmax < 0),
-        CmpOp::Eq => verdict(dmin == 0 && dmax == 0, dmax < 0 || dmin > 0),
-        CmpOp::Ne => verdict(dmax < 0 || dmin > 0, dmin == 0 && dmax == 0),
-    };
-    match v {
+    match range_verdict(op, dmin, dmax) {
         Some(true) => Some(b),
         Some(false) => Some(LBox::EMPTY),
         None => None,
@@ -1480,6 +1621,20 @@ fn complement(b: LBox, t: LBox) -> Option<LBox> {
     None
 }
 
+/// `op(d, 0)` for every `d ∈ [dmin, dmax]`: `Some(true)` / `Some(false)`
+/// when the interval proves the comparison uniform, `None` when it
+/// straddles.
+pub(crate) fn range_verdict(op: CmpOp, dmin: i64, dmax: i64) -> Option<bool> {
+    match op {
+        CmpOp::Lt => verdict(dmax < 0, dmin >= 0),
+        CmpOp::Le => verdict(dmax <= 0, dmin > 0),
+        CmpOp::Gt => verdict(dmin > 0, dmax <= 0),
+        CmpOp::Ge => verdict(dmin >= 0, dmax < 0),
+        CmpOp::Eq => verdict(dmin == 0 && dmax == 0, dmax < 0 || dmin > 0),
+        CmpOp::Ne => verdict(dmax < 0 || dmin > 0, dmin == 0 && dmax == 0),
+    }
+}
+
 /// `Some(true)` / `Some(false)` when the interval proves the comparison
 /// uniform, `None` when it straddles.
 #[inline]
@@ -1520,15 +1675,15 @@ pub(crate) struct NativeScratch {
     pub(crate) bstack: Vec<(LBox, Option<LBox>)>,
 }
 
-/// Whether loop record `lr`, traced once at `rec` (`[sid, box…,
-/// first addresses…]`, or empty when the guard box was), reads nothing
-/// its global accumulator writes: sources are packed before the loop
-/// runs, so a source element the loop also writes would read stale.
-/// The bounding boxes of the accumulator and of each source reading the
-/// same global, over the lane box and all `trip` iterations, must be
+/// Whether a loop record reads nothing its global accumulator writes:
+/// sources are packed before the loop runs, so a source element the loop
+/// also writes would read stale.  `levels` pairs each loop (inner first)
+/// with its trip count; the first iteration ran over box `bv` at
+/// `addrs`.  The bounding boxes of the accumulator and of each source
+/// reading the same global, over the box and all iterations, must be
 /// disjoint.
-fn record_alias_free(region: &Region, lr: &LoopRec, trip: i64, rec: &[i64]) -> bool {
-    let NStmt::Run(run) = &region.stmts[lr.sid as usize] else {
+fn record_alias_free(region: &Region, levels: &[(&LoopRec, i64)], bv: LBox, addrs: &[i64]) -> bool {
+    let NStmt::Run(run) = &region.stmts[levels[0].0.sid as usize] else {
         unreachable!("loop records replay a run");
     };
     let Some(Hot {
@@ -1540,18 +1695,14 @@ fn record_alias_free(region: &Region, lr: &LoopRec, trip: i64, rec: &[i64]) -> b
     else {
         return true;
     };
-    if rec.is_empty() {
-        return true;
-    }
-    let bv = LBox {
-        txl: rec[1],
-        txh: rec[2],
-        tyl: rec[3],
-        tyh: rec[4],
+    let fp = |ga: GAff, i: usize| {
+        // A padding level of one trip spans nothing.
+        let mut steps = [((0, 0), 1); 2];
+        for (st, &(lr, trip)) in steps.iter_mut().zip(levels) {
+            *st = ((lr.addr_deltas[i], lr.addr_deltas[i + 1]), trip);
+        }
+        ga.footprint((addrs[i], addrs[i + 1]), &steps, bv)
     };
-    let (addrs, d) = (&rec[5..], &lr.addr_deltas);
-    let fp =
-        |ga: GAff, i: usize| ga.footprint((addrs[i], addrs[i + 1]), (d[i], d[i + 1]), trip, bv);
     let accf = fp(acc, 4);
     [(a, 0), (b, 2)].into_iter().all(|(src, i)| match src {
         NSrc::Window(s) if s.g == acc.g => {
@@ -1562,19 +1713,35 @@ fn record_alias_free(region: &Region, lr: &LoopRec, trip: i64, rec: &[i64]) -> b
     })
 }
 
-/// Inclusive range of `v0 + a·tx + b·ty + dk·k` over the lane box and
-/// iterations `0..trip`.
-fn extent(v0: i64, a: i64, b: i64, dk: i64, trip: i64, bv: LBox) -> (i64, i64) {
-    let span = |k: i64, lo: i64, hi: i64| (k * lo).min(k * hi)..=(k * lo).max(k * hi);
-    let (x, y, t) = (
-        span(a, bv.txl, bv.txh - 1),
-        span(b, bv.tyl, bv.tyh - 1),
-        span(dk, 0, trip - 1),
-    );
-    (
-        v0 + x.start() + y.start() + t.start(),
-        v0 + x.end() + y.end() + t.end(),
-    )
+/// Inclusive range of `v0 + a·tx + b·ty + Σ dₖ·kₖ` over the lane box and
+/// iterations `kₖ ∈ 0..tripₖ` of each `(dₖ, tripₖ)` in `steps`.
+fn extent(
+    v0: i64,
+    a: i64,
+    b: i64,
+    steps: impl Iterator<Item = (i64, i64)>,
+    bv: LBox,
+) -> (i64, i64) {
+    let span = |k: i64, lo: i64, hi: i64| ((k * lo).min(k * hi), (k * lo).max(k * hi));
+    let mut r = (v0, v0);
+    for (k, lo, hi) in [(a, bv.txl, bv.txh - 1), (b, bv.tyl, bv.tyh - 1)]
+        .into_iter()
+        .chain(steps.map(|(d, trip)| (d, 0, trip - 1)))
+    {
+        let (l, h) = span(k, lo, hi);
+        r = (r.0 + l, r.1 + h);
+    }
+    r
+}
+
+/// The lane box a trace record stores at `t[..4]`.
+fn lbox(t: &[i64]) -> LBox {
+    LBox {
+        txl: t[0],
+        txh: t[1],
+        tyl: t[2],
+        tyh: t[3],
+    }
 }
 
 fn aop_env(bc: &ByteCode, env: &[i64], a: AOp) -> i64 {
@@ -1597,15 +1764,24 @@ impl VBlock<'_> {
             region.affine_ok,
             "native region selected for a nest the affinity analysis rejected"
         );
-        if !self.mask_full() || !self.native_preflight(region) {
+        let why = if !self.mask_full() {
+            Some(0)
+        } else if !self.native_preflight(region) {
+            Some(1)
+        } else {
+            None
+        };
+        if let Some(why) = why {
             nat.fallbacks.fetch_add(1, Ordering::Relaxed);
+            nat.fallback_by[why].fetch_add(1, Ordering::Relaxed);
             TOTAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         nat.entries.fetch_add(1, Ordering::Relaxed);
         TOTAL_ENTRIES.fetch_add(1, Ordering::Relaxed);
-        let (loops, instances) = self.native_replay(region);
+        let [loops, two_level, instances] = self.native_replay(region);
         nat.loop_records.fetch_add(loops, Ordering::Relaxed);
+        nat.two_level.fetch_add(two_level, Ordering::Relaxed);
         nat.instances.fetch_add(instances, Ordering::Relaxed);
         self.native_writeback(region);
         Some(region.resume)
@@ -1635,35 +1811,38 @@ impl VBlock<'_> {
         let mut pc = region.start;
         let mut cur = LBox::full(bxd, byd);
         let mut ok = true;
-        // The loop record being traced: `(lix, trip, trace offset)` of
-        // its first iteration, walked as usual.
+        // The loop records being traced: `(lix, trip, trace offset)` of
+        // their first iteration, walked as usual.
         let mut rec: Option<(u32, i64, usize)> = None;
+        let mut outer: Option<(u32, i64, usize)> = None;
         'walk: while pc != end {
             let pfix = region.pf_map[pc - region.start];
             if pfix != 0 {
                 match region.pf[pfix as usize - 1].1 {
                     PfOp::Loop(lix) => {
                         let lr = &region.loops[lix as usize];
-                        if let Some((rl, trip, off)) = rec.take() {
-                            debug_assert_eq!(rl, lix, "loop records do not nest");
-                            if self.loop_box_constant(region, lr, trip, cur)
-                                && record_alias_free(region, lr, trip, &trace[off..])
-                            {
-                                // Back at the test after the first
-                                // iteration: fold it into one record and
-                                // jump to the exit state.
-                                if trace.len() > off {
-                                    trace[off] = -(lix as i64) - 1;
-                                    trace.insert(off + 1, trip);
-                                }
+                        // Single-level records trace in `rec`, two-level
+                        // ones in `outer`: an outer record's first
+                        // iteration folds its inner record first.
+                        let slot = if lr.inner.is_some() {
+                            &mut outer
+                        } else {
+                            &mut rec
+                        };
+                        if let Some((rl, trip, off)) = slot.take() {
+                            debug_assert_eq!(rl, lix, "records nest two deep");
+                            // Back at the test after the first iteration:
+                            // fold it into one record and jump to the
+                            // exit state.  Else the box may change: this
+                            // iteration ran as it is; try again from the
+                            // next one.
+                            if self.fold_record(region, lix, trip, cur, &mut trace, off) {
                                 for &(s, d) in &lr.exit_deltas {
                                     env[s as usize] += (trip - 1) * d;
                                 }
                                 pc = lr.exit as usize;
                                 continue;
                             }
-                            // The box may change: this iteration ran as
-                            // an instance; try again from the next one.
                         }
                         let (v, h) = (env[lr.var as usize], env[lr.hi as usize]);
                         if v >= h {
@@ -1672,7 +1851,7 @@ impl VBlock<'_> {
                         }
                         let trip = (h - v + lr.step - 1) / lr.step;
                         if trip >= 2 {
-                            rec = Some((lix, trip, trace.len()));
+                            *slot = Some((lix, trip, trace.len()));
                         }
                         pc += 1;
                     }
@@ -1865,17 +2044,72 @@ impl VBlock<'_> {
         ok
     }
 
-    /// Whether loop record `lr`'s guard box is the same in all `trip`
-    /// iterations.  `inc` is the box entering the guard, constant over
-    /// the loop; `gd0` holds each condition at the first iteration, and
-    /// it advances by a constant per iteration.  A monotone comparison
-    /// of an affine value flips at most once per lane, so the same cut
-    /// at the first and the last iteration proves it for every
-    /// iteration; `Eq`/`Ne` need a condition that does not move.  Cuts
-    /// are taken per condition over `inc`, since equal ends of an
-    /// intersection prove nothing for its parts.
-    fn loop_box_constant(&self, region: &Region, lr: &LoopRec, trip: i64, inc: LBox) -> bool {
-        let Some((gix, deltas)) = &lr.guard else {
+    /// Try to fold the first iteration of loop record `lix`, traced at
+    /// `trace[off..]`, into one record of `trip` iterations:
+    /// `[-(lix + 1), outer trip, inner trip, box…, first addresses…]`.
+    /// A single-level record folds one run instance (outer trip 1); a
+    /// two-level one folds one whole inner record.  Either must keep its
+    /// guard box over every iteration and read nothing its global
+    /// accumulator writes.
+    fn fold_record(
+        &self,
+        region: &Region,
+        lix: u32,
+        trip: i64,
+        inc: LBox,
+        trace: &mut Vec<i64>,
+        off: usize,
+    ) -> bool {
+        let lr = &region.loops[lix as usize];
+        let tag = -(lix as i64) - 1;
+        let Some(il) = lr.inner else {
+            // `[sid, box…, addresses…]`, or nothing when the box was empty.
+            let levels = [(lr, trip)];
+            let rec = &trace[off..];
+            if !(self.loop_box_constant(region, &levels, inc)
+                && (rec.is_empty()
+                    || record_alias_free(region, &levels, lbox(&rec[1..]), &rec[5..])))
+            {
+                return false;
+            }
+            if trace.len() > off {
+                trace[off] = tag;
+                trace.insert(off + 1, trip);
+                trace.insert(off + 1, 1);
+            }
+            return true;
+        };
+        let NStmt::Run(run) = &region.stmts[lr.sid as usize] else {
+            unreachable!("loop records replay a run");
+        };
+        let one_record = trace.len() - off == 7 + 2 * run.n_addrs && trace[off] == -(il as i64) - 1;
+        if !one_record {
+            return false;
+        }
+        let levels = [(&region.loops[il as usize], trace[off + 2]), (lr, trip)];
+        let rec = &trace[off..];
+        if !(self.loop_box_constant(region, &levels, inc)
+            && record_alias_free(region, &levels, lbox(&rec[3..]), &rec[7..]))
+        {
+            return false;
+        }
+        trace[off] = tag;
+        trace[off + 1] = trip;
+        true
+    }
+
+    /// Whether a record's guard box is the same in all its iterations:
+    /// `levels` pairs each loop (inner first) with its trip count, and
+    /// each condition (`lhs − rhs`, in `gd0` at the first iteration)
+    /// advances by a constant per iteration of each.  `inc` is the box
+    /// entering the guard, constant over the loops.  A monotone
+    /// comparison of an affine value flips at most once per lane, so the
+    /// same cut at the condition's smallest and largest value over the
+    /// iterations proves it for all of them; `Eq`/`Ne` need a condition
+    /// that does not move.  Cuts are taken per condition over `inc`,
+    /// since equal ends of an intersection prove nothing for its parts.
+    fn loop_box_constant(&self, region: &Region, levels: &[(&LoopRec, i64)], inc: LBox) -> bool {
+        let Some((gix, _)) = &levels[0].0.guard else {
             return true;
         };
         let g = &region.guards[*gix as usize];
@@ -1883,14 +2117,23 @@ impl VBlock<'_> {
         sp.conds
             .iter()
             .zip(&g.conds)
-            .zip(deltas)
             .zip(&self.nscratch.gd0)
-            .all(|(((c, &(da, db)), &dk), &d0)| {
-                if matches!(c.op, CmpOp::Eq | CmpOp::Ne) && dk != 0 {
-                    return false;
+            .enumerate()
+            .all(|(j, ((c, &(da, db)), &d0))| {
+                let (mut lo, mut hi) = (d0, d0);
+                for (lr, trip) in levels {
+                    let Some((_, deltas)) = &lr.guard else {
+                        unreachable!("both levels of a record share its guard");
+                    };
+                    let span = deltas[j] * (trip - 1);
+                    if span != 0 && matches!(c.op, CmpOp::Eq | CmpOp::Ne) {
+                        return false;
+                    }
+                    lo += span.min(0);
+                    hi += span.max(0);
                 }
-                let first = apply_cut(inc, d0, da, db, c.op);
-                first.is_some() && first == apply_cut(inc, d0 + (trip - 1) * dk, da, db, c.op)
+                let first = apply_cut(inc, lo, da, db, c.op);
+                first.is_some() && first == apply_cut(inc, hi, da, db, c.op)
             })
     }
 
@@ -1925,39 +2168,42 @@ impl VBlock<'_> {
     /// Phase 2: replay the recorded statement instances sequentially —
     /// exactly the interpreter's order, through vector kernels over each
     /// instance's recorded lane box.  A loop record replays all its
-    /// iterations in one loop kernel.  Returns `(loop records, statement
-    /// instances)` replayed.
-    fn native_replay(&mut self, region: &Region) -> (u64, u64) {
+    /// iterations in one loop kernel.  Returns the loop records, the
+    /// two-level ones among them, and the statement instances replayed.
+    fn native_replay(&mut self, region: &Region) -> [u64; 3] {
         let trace = std::mem::take(&mut self.nscratch.trace);
-        let (mut loops, mut instances) = (0u64, 0u64);
+        let [mut loops, mut two_level, mut instances] = [0u64; 3];
         let mut off = 0;
         while off < trace.len() {
             let tag = trace[off];
-            let (sid, trip, head) = if tag < 0 {
+            // A loop record runs `[(inner deltas, trips), (outer deltas,
+            // trips)]`; a single-level one has one outer trip.
+            let (sid, levels, head) = if tag < 0 {
                 let lr = &region.loops[(-tag - 1) as usize];
+                let (trip_o, trip_i) = (trace[off + 1], trace[off + 2]);
+                let levels = match lr.inner {
+                    Some(il) => [
+                        (&region.loops[il as usize].addr_deltas[..], trip_i),
+                        (&lr.addr_deltas[..], trip_o),
+                    ],
+                    None => [(&lr.addr_deltas[..], trip_i), (&[0; 6][..], 1)],
+                };
                 loops += 1;
-                (lr.sid, trace[off + 1], off + 2)
+                two_level += lr.inner.is_some() as u64;
+                (lr.sid, Some(levels), off + 3)
             } else {
-                (tag as u32, 1, off + 1)
+                (tag as u32, None, off + 1)
             };
             match &region.stmts[sid as usize] {
                 NStmt::Run(run) => {
-                    let b = LBox {
-                        txl: trace[head],
-                        txh: trace[head + 1],
-                        tyl: trace[head + 2],
-                        tyh: trace[head + 3],
-                    };
+                    let b = lbox(&trace[head..]);
                     let addrs = &trace[head + 4..head + 4 + 2 * run.n_addrs];
+                    let levels = levels.unwrap_or([(&[0; 6], 1), (&[0; 6], 1)]);
                     match run.hot {
-                        Some(hot) if tag < 0 => {
-                            let lr = &region.loops[(-tag - 1) as usize];
-                            self.native_loop(hot, addrs, &lr.addr_deltas, trip, b);
-                        }
-                        Some(hot) => self.native_loop(hot, addrs, &[0; 6], 1, b),
+                        Some(hot) => self.native_loop(hot, addrs, levels, b),
                         None => self.native_generic(run, addrs, b),
                     }
-                    instances += trip as u64;
+                    instances += (levels[0].1 * levels[1].1) as u64;
                     off = head + 4 + 2 * run.n_addrs;
                 }
                 NStmt::Stage(stg) => {
@@ -1969,43 +2215,53 @@ impl VBlock<'_> {
             }
         }
         self.nscratch.trace = trace;
-        (loops, instances)
+        [loops, two_level, instances]
     }
 
-    /// The loop kernel: `trip` iterations of `acc ±= a·b` over the lane
-    /// box, every address advancing by its per-iteration delta (`addrs`
-    /// and `deltas` hold `(r, c)` for `a`, `b` and the accumulator).  A
-    /// plain instance is the one-iteration case.  Windowed sources are
-    /// packed through the window first; a global accumulator (one fixed
-    /// element per lane) is gathered lane-contiguous, run like a register
-    /// tile, and stored back into the window.
-    fn native_loop(&mut self, hot: Hot, addrs: &[i64], deltas: &[i64], trip: i64, bv: LBox) {
+    /// The loop kernel: `acc ±= a·b` over the lane box for every
+    /// iteration of `levels` — `(deltas, trips)` of the inner and the
+    /// outer loop, where `deltas` advance `(r, c)` of `a`, `b` and the
+    /// accumulator (`addrs`) per iteration.  A plain instance is one
+    /// iteration of each.  Windowed sources are packed first, copying
+    /// whole lane-row runs from the window and the snapshot; a global
+    /// accumulator (one fixed element per lane) is gathered
+    /// lane-contiguous, run like a register tile, and stored back into
+    /// the window.
+    fn native_loop(&mut self, hot: Hot, addrs: &[i64], levels: [(&[i64], i64); 2], bv: LBox) {
         let n = self.n as i64;
         let (bxd, _) = self.bc.block;
+        let [(di, ti), (dout, to)] = levels;
+        let w = (bv.txh - bv.txl) as usize;
         let mut pack = std::mem::take(&mut self.nscratch.pack);
         let mut gathered = std::mem::take(&mut self.nscratch.acc);
         for (i, src) in [hot.a, hot.b].into_iter().enumerate() {
             if let NSrc::Window(ga) = src {
-                let (r0, c0) = (addrs[2 * i], addrs[2 * i + 1]);
-                let (dr, dc) = (deltas[2 * i], deltas[2 * i + 1]);
+                let g = ga.g as usize;
+                let win = self.bc.globals[g].written.then(|| &self.windows[g]);
                 let p = &mut pack[i];
                 p.clear();
-                for k in 0..trip {
-                    for ty in bv.tyl..bv.tyh {
-                        for tx in bv.txl..bv.txh {
-                            let (r, c) = ga.at(r0 + dr * k, c0 + dc * k, tx, ty);
-                            p.push(self.gread(ga.g as usize, r, c));
+                p.resize(w * ((bv.tyh - bv.tyl) * ti * to) as usize, 0.0);
+                let mut rows = p.chunks_exact_mut(w);
+                for ko in 0..to {
+                    for ki in 0..ti {
+                        let r = addrs[2 * i] + di[2 * i] * ki + dout[2 * i] * ko;
+                        let c = addrs[2 * i + 1] + di[2 * i + 1] * ki + dout[2 * i + 1] * ko;
+                        for ty in bv.tyl..bv.tyh {
+                            let (gr, gc) = ga.at(r, c, bv.txl, ty);
+                            let out = rows.next().expect("sized above");
+                            read_run(win, self.base[g], gr, gc, (ga.ra, ga.ca), out);
                         }
                     }
                 }
             }
         }
-        let (r0, c0, dr, dc) = (addrs[4], addrs[5], deltas[4], deltas[5]);
+        let (r0, c0) = (addrs[4], addrs[5]);
         let acc = match hot.acc {
             NDst::Reg { x } => {
                 let d = &self.bc.regs[x as usize];
+                let last = |k: usize| addrs[k] + (ti - 1) * di[k] + (to - 1) * dout[k];
                 debug_assert!(
-                    [(r0, c0), (r0 + (trip - 1) * dr, c0 + (trip - 1) * dc)]
+                    [(r0, c0), (last(4), last(5))]
                         .iter()
                         .all(|&(r, c)| r >= 0 && r < d.rows && c >= 0 && c < d.cols),
                     "register tile index out of bounds"
@@ -2015,25 +2271,38 @@ impl VBlock<'_> {
                 Walk {
                     data: &[],
                     base: (self.bc.reg_off[x as usize] as i64 + r0 + c0 * d.rows) * n,
-                    dk: (dr + dc * d.rows) * n,
+                    dk: (di[4] + di[5] * d.rows) * n,
+                    dko: (dout[4] + dout[5] * d.rows) * n,
                     dtx: 1,
                     dty: bxd,
                 }
             }
             NDst::Global(ga) => {
-                debug_assert_eq!((dr, dc), (0, 0), "a global accumulator stays put");
+                debug_assert!(
+                    di[4..6] == [0, 0] && dout[4..6] == [0, 0],
+                    "a global accumulator stays put"
+                );
+                let g = ga.g as usize;
                 gathered.clear();
                 gathered.resize(self.n, 0.0);
                 for ty in bv.tyl..bv.tyh {
-                    for tx in bv.txl..bv.txh {
-                        let (r, c) = ga.at(r0, c0, tx, ty);
-                        gathered[(tx + ty * bxd) as usize] = self.gread(ga.g as usize, r, c);
-                    }
+                    let (gr, gc) = ga.at(r0, c0, bv.txl, ty);
+                    let l0 = (bv.txl + ty * bxd) as usize;
+                    let out = &mut gathered[l0..l0 + w];
+                    read_run(
+                        Some(&self.windows[g]),
+                        self.base[g],
+                        gr,
+                        gc,
+                        (ga.ra, ga.ca),
+                        out,
+                    );
                 }
                 Walk {
                     data: &[],
                     base: 0,
                     dk: 0,
+                    dko: 0,
                     dtx: 1,
                     dty: bxd,
                 }
@@ -2045,27 +2314,27 @@ impl VBlock<'_> {
         let smem: &[f32] = self.smem;
         let mats = self.base;
         let [pa, pb] = &mut pack;
-        let a = source(hot.a, &addrs[0..2], &deltas[0..2], smem, mats, pa, trip, bv);
-        let b = source(hot.b, &addrs[2..4], &deltas[2..4], smem, mats, pb, trip, bv);
+        let trips = (ti, to);
+        let step = |k: usize| [(di[k], di[k + 1]), (dout[k], dout[k + 1])];
+        let a = source(hot.a, &addrs[0..2], step(0), smem, mats, pa, trips, bv);
+        let b = source(hot.b, &addrs[2..4], step(2), smem, mats, pb, trips, bv);
         let target: &mut [f32] = match hot.acc {
             NDst::Reg { .. } => self.regs,
             NDst::Global(_) => &mut gathered,
         };
         if hot.sub {
-            loop_fma::<true>(target, acc, a, b, trip, bv);
+            loop_fma::<true>(target, acc, a, b, trips, bv);
         } else {
-            loop_fma::<false>(target, acc, a, b, trip, bv);
+            loop_fma::<false>(target, acc, a, b, trips, bv);
         }
         if let NDst::Global(ga) = hot.acc {
             let win = &mut self.windows[ga.g as usize];
-            let [(rl, rh), (cl, ch)] = ga.footprint((r0, c0), (0, 0), 1, bv);
+            let [(rl, rh), (cl, ch)] = ga.footprint((r0, c0), &[], bv);
             win.cover(rl, rh, cl, ch);
             for ty in bv.tyl..bv.tyh {
-                for tx in bv.txl..bv.txh {
-                    let (r, c) = ga.at(r0, c0, tx, ty);
-                    let ix = win.index(r, c).expect("covered");
-                    win.write_at(ix, gathered[(tx + ty * bxd) as usize]);
-                }
+                let (gr, gc) = ga.at(r0, c0, bv.txl, ty);
+                let l0 = (bv.txl + ty * bxd) as usize;
+                win.write_run(gr, gc, (ga.ra, ga.ca), &gathered[l0..l0 + w]);
             }
         }
         self.nscratch.pack = pack;
@@ -2106,18 +2375,20 @@ impl VBlock<'_> {
                             }
                         }
                         NSrc::Window(ga) => {
+                            let g = ga.g as usize;
+                            let win = self.bc.globals[g].written.then(|| &self.windows[g]);
+                            let w = (bv.txh - bv.txl) as usize;
                             for ty in bv.tyl..bv.tyh {
-                                for tx in bv.txl..bv.txh {
-                                    let (gr, gc) = ga.at(r, c, tx, ty);
-                                    let v = self.gread(ga.g as usize, gr, gc);
-                                    self.fregs[doff + (ty * bxd + tx) as usize] = v;
-                                }
+                                let (gr, gc) = ga.at(r, c, bv.txl, ty);
+                                let l0 = doff + (ty * bxd + bv.txl) as usize;
+                                let out = &mut self.fregs[l0..l0 + w];
+                                read_run(win, self.base[g], gr, gc, (ga.ra, ga.ca), out);
                             }
                         }
                         _ => {
                             let smem: &[f32] = self.smem;
                             let mats = self.base;
-                            let sp = walk(src, r, c, 0, 0, smem, mats);
+                            let sp = walk(src, r, c, [(0, 0); 2], smem, mats);
                             let dsl = &mut self.fregs[doff..doff + n];
                             for ty in bv.tyl..bv.tyh {
                                 let sb = sp.base + sp.dty * ty;
@@ -2328,16 +2599,17 @@ impl VBlock<'_> {
     }
 }
 
-/// Strided storage as a loop kernel walks it: the element for iteration
-/// `k` at lane `(tx, ty)` is `data[base + k·dk + tx·dtx + ty·dty]`.  No
-/// bounds reasoning — `base` extrapolates lane `(0, 0)`, which may sit
-/// outside the box (and outside the array); only in-box elements are
-/// indexed.
+/// Strided storage as a loop kernel walks it: the element for inner
+/// iteration `k` of outer iteration `ko` at lane `(tx, ty)` is
+/// `data[base + k·dk + ko·dko + tx·dtx + ty·dty]`.  No bounds reasoning —
+/// `base` extrapolates lane `(0, 0)`, which may sit outside the box (and
+/// outside the array); only in-box elements are indexed.
 #[derive(Clone, Copy)]
 struct Walk<'x> {
     data: &'x [f32],
     base: i64,
     dk: i64,
+    dko: i64,
     dtx: i64,
     dty: i64,
 }
@@ -2359,10 +2631,10 @@ impl Walk<'_> {
 
 impl<'x> Walk<'x> {
     /// A strided gather that every lane row of the box repeats (no ty
-    /// stride) is packed once into `buf`, `[k][tx]`, so each row reads it
-    /// contiguously instead of gathering again; the values are copies, so
-    /// results do not change.
-    fn packed<'p>(self, buf: &'p mut Vec<f32>, trip: i64, bv: LBox) -> Walk<'p>
+    /// stride) is packed once into `buf`, `[ko][k][tx]`, so each row
+    /// reads it contiguously instead of gathering again; the values are
+    /// copies, so results do not change.
+    fn packed<'p>(self, buf: &'p mut Vec<f32>, (ti, to): (i64, i64), bv: LBox) -> Walk<'p>
     where
         'x: 'p,
     {
@@ -2371,14 +2643,17 @@ impl<'x> Walk<'x> {
         }
         let w = bv.txh - bv.txl;
         buf.clear();
-        for k in 0..trip {
-            let at = self.base + k * self.dk;
-            buf.extend((bv.txl..bv.txh).map(|tx| self.data[(at + tx * self.dtx) as usize]));
+        for ko in 0..to {
+            for k in 0..ti {
+                let at = self.base + k * self.dk + ko * self.dko;
+                buf.extend((bv.txl..bv.txh).map(|tx| self.data[(at + tx * self.dtx) as usize]));
+            }
         }
         Walk {
             data: buf,
             base: -bv.txl,
             dk: w,
+            dko: w * ti,
             dtx: 1,
             dty: 0,
         }
@@ -2386,16 +2661,16 @@ impl<'x> Walk<'x> {
 }
 
 /// A source at the trace's resolved `(r, c)`, advancing `(dr, dc)` per
-/// iteration.
+/// inner and per outer iteration (`d`).
 fn walk<'x>(
     src: NSrc,
     r: i64,
     c: i64,
-    dr: i64,
-    dc: i64,
+    d: [(i64, i64); 2],
     smem: &'x [f32],
     mats: &[&'x Matrix],
 ) -> Walk<'x> {
+    let [(dr, dc), (dro, dco)] = d;
     match src {
         NSrc::Global(ga) => {
             let m = mats[ga.g as usize];
@@ -2403,6 +2678,7 @@ fn walk<'x>(
                 data: &m.data,
                 base: r + c * m.ld,
                 dk: dr + dc * m.ld,
+                dko: dro + dco * m.ld,
                 dtx: ga.ra + ga.ca * m.ld,
                 dty: ga.rb + ga.cb * m.ld,
             }
@@ -2411,6 +2687,7 @@ fn walk<'x>(
             data: smem,
             base: off + r + c * ld,
             dk: dr + dc * ld,
+            dko: dro + dco * ld,
             dtx,
             dty,
         },
@@ -2419,45 +2696,56 @@ fn walk<'x>(
     }
 }
 
-/// A loop-kernel operand: a windowed source walks its pack (`[k][ty][tx]`
-/// over the box, filled by the caller), any other walks its storage at
-/// the trace's `rc`, advancing `d` per iteration — packed when a strided
-/// gather repeats per lane row.
+/// A loop-kernel operand: a windowed source walks its pack
+/// (`[ko][k][ty][tx]` over the box, filled by the caller), any other
+/// walks its storage at the trace's `rc`, advancing `d` per inner and
+/// outer iteration — packed when a strided gather repeats per lane row.
 #[allow(clippy::too_many_arguments)]
 fn source<'x>(
     src: NSrc,
     rc: &[i64],
-    d: &[i64],
+    d: [(i64, i64); 2],
     smem: &'x [f32],
     mats: &[&'x Matrix],
     pack: &'x mut Vec<f32>,
-    trip: i64,
+    trips: (i64, i64),
     bv: LBox,
 ) -> Walk<'x> {
     match src {
         NSrc::Window(_) => {
             let w = bv.txh - bv.txl;
+            let plane = w * (bv.tyh - bv.tyl);
             Walk {
                 data: pack,
                 base: -(bv.txl + bv.tyl * w),
-                dk: w * (bv.tyh - bv.tyl),
+                dk: plane,
+                dko: plane * trips.0,
                 dtx: 1,
                 dty: w,
             }
         }
-        _ => walk(src, rc[0], rc[1], d[0], d[1], smem, mats).packed(pack, trip, bv),
+        _ => walk(src, rc[0], rc[1], d, smem, mats).packed(pack, trips, bv),
     }
 }
 
-/// The loop kernel behind every hot run: `trip` iterations of
-/// `acc ±= a·b` over the lane box, lane rows cut into chunks of 16, 8, 4
-/// or 1 lanes.  Each lane runs its iterations in order with two roundings
-/// (`t = a·b`, then `acc ± t`, never `mul_add`), so lanes may be taken in
-/// any order against iterations: each writes only its own register tile
-/// and reads shared memory or unwritten globals, which nothing in the
-/// loop writes.  An accumulator that does not move stays in registers
-/// across the iterations.
-fn loop_fma<const SUB: bool>(regs: &mut [f32], acc: Walk, a: Walk, b: Walk, trip: i64, bv: LBox) {
+/// The loop kernel behind every hot run: `acc ±= a·b` over the lane box
+/// for `ti` inner iterations within each of `to` outer ones, lane rows
+/// cut into chunks of 16, 8, 4 or 1 lanes.  Each lane runs its
+/// iterations in order with two roundings (`t = a·b`, then `acc ± t`,
+/// never `mul_add`), so lanes may be taken in any order against
+/// iterations: each writes only its own register tile and reads shared
+/// memory or unwritten globals, which nothing in the loop writes.  A
+/// chunk keeps its accumulators across both loops: in registers when
+/// they do not move, else in place in the arena, where every outer
+/// iteration finds the inner one's.
+fn loop_fma<const SUB: bool>(
+    regs: &mut [f32],
+    acc: Walk,
+    a: Walk,
+    b: Walk,
+    trips: (i64, i64),
+    bv: LBox,
+) {
     for ty in bv.tyl..bv.tyh {
         let mut tx = bv.txl;
         while tx < bv.txh {
@@ -2465,13 +2753,13 @@ fn loop_fma<const SUB: bool>(regs: &mut [f32], acc: Walk, a: Walk, b: Walk, trip
             let (o, oa, ob) = (at(&acc), at(&a), at(&b));
             let left = bv.txh - tx;
             tx += if left >= 16 {
-                chunk::<SUB, 16>(regs, o, acc.dk, &a, oa, &b, ob, trip)
+                chunk::<SUB, 16>(regs, o, &acc, &a, oa, &b, ob, trips)
             } else if left >= 8 {
-                chunk::<SUB, 8>(regs, o, acc.dk, &a, oa, &b, ob, trip)
+                chunk::<SUB, 8>(regs, o, &acc, &a, oa, &b, ob, trips)
             } else if left >= 4 {
-                chunk::<SUB, 4>(regs, o, acc.dk, &a, oa, &b, ob, trip)
+                chunk::<SUB, 4>(regs, o, &acc, &a, oa, &b, ob, trips)
             } else {
-                chunk::<SUB, 1>(regs, o, acc.dk, &a, oa, &b, ob, trip)
+                chunk::<SUB, 1>(regs, o, &acc, &a, oa, &b, ob, trips)
             };
         }
     }
@@ -2483,13 +2771,13 @@ fn loop_fma<const SUB: bool>(regs: &mut [f32], acc: Walk, a: Walk, b: Walk, trip
 #[inline(always)]
 fn chunk<const SUB: bool, const N: usize>(
     regs: &mut [f32],
-    mut o: i64,
-    dacc: i64,
+    o: i64,
+    acc: &Walk,
     a: &Walk,
-    mut oa: i64,
+    oa: i64,
     b: &Walk,
-    mut ob: i64,
-    trip: i64,
+    ob: i64,
+    (ti, to): (i64, i64),
 ) -> i64 {
     let fma = |r: &mut [f32; N], av: [f32; N], bv: [f32; N]| {
         for l in 0..N {
@@ -2501,25 +2789,39 @@ fn chunk<const SUB: bool, const N: usize>(
             }
         }
     };
-    if dacc == 0 {
+    // Each pointer walks the inner loop, then jumps to the start of the
+    // next outer iteration.
+    let (ja, jb, jo) = (a.dko - ti * a.dk, b.dko - ti * b.dk, acc.dko - ti * acc.dk);
+    let (mut pa, mut pb) = (oa, ob);
+    if acc.dk == 0 && acc.dko == 0 {
         let mut r: [f32; N] = regs[o as usize..o as usize + N]
             .try_into()
             .expect("N lanes");
-        for _ in 0..trip {
-            fma(&mut r, a.lanes::<N>(oa), b.lanes::<N>(ob));
-            oa += a.dk;
-            ob += b.dk;
+        for _ in 0..to {
+            for _ in 0..ti {
+                fma(&mut r, a.lanes::<N>(pa), b.lanes::<N>(pb));
+                pa += a.dk;
+                pb += b.dk;
+            }
+            pa += ja;
+            pb += jb;
         }
         regs[o as usize..o as usize + N].copy_from_slice(&r);
     } else {
-        for _ in 0..trip {
-            let r: &mut [f32; N] = (&mut regs[o as usize..o as usize + N])
-                .try_into()
-                .expect("N lanes");
-            fma(r, a.lanes::<N>(oa), b.lanes::<N>(ob));
-            oa += a.dk;
-            ob += b.dk;
-            o += dacc;
+        let mut po = o;
+        for _ in 0..to {
+            for _ in 0..ti {
+                let r: &mut [f32; N] = (&mut regs[po as usize..po as usize + N])
+                    .try_into()
+                    .expect("N lanes");
+                fma(r, a.lanes::<N>(pa), b.lanes::<N>(pb));
+                pa += a.dk;
+                pb += b.dk;
+                po += acc.dk;
+            }
+            pa += ja;
+            pb += jb;
+            po += jo;
         }
     }
     N as i64

@@ -17,7 +17,13 @@
 //!   visited by every thread;
 //! * **addresses are incremental** — after the optimizer most subscripts
 //!   are a cache-slot read kept fresh by `StepAdd`, not an affine dot
-//!   product.
+//!   product;
+//! * **register-tile moves copy lane runs** — a `Move` whose tile origin
+//!   is lane-affine proves its bounds guard over every lane and tile
+//!   element at the corners (or cuts each lane's tile to a box) and
+//!   copies each tile element for runs of consecutive lanes, one slice
+//!   copy per column run; a guard that is not a box, or a store whose
+//!   lanes may share an element, walks per element and lane instead.
 //!
 //! Execution is **block-parallel**: CUDA blocks are independent in every
 //! kernel this framework generates, so the grid is fanned out with rayon.
@@ -48,16 +54,18 @@ use oa_loopir::interp::{blank_is_zero, run_map_kernel, Buffers, Matrix};
 use oa_loopir::scalar::BinOp;
 use oa_loopir::slots::SlotExpr;
 use oa_loopir::stmt::{stage_src_coords, AssignOp};
+use oa_loopir::CmpOp;
 use rayon::prelude::*;
 use std::cell::RefCell;
 
 use crate::bytecode::{
-    AOp, AddrClass, ArrRef, ByteCode, Instr, GC_SLOT, GR_SLOT, SC_SLOT, SR_SLOT, TX_SLOT, TY_SLOT,
+    AOp, AddrClass, ArrRef, ByteCode, Instr, MoveOp, GC_SLOT, GR_SLOT, SC_SLOT, SR_SLOT, TX_SLOT,
+    TY_SLOT,
 };
 use crate::exec::ExecError;
 use crate::launch::Builtin;
-use crate::native::{NativeScratch, NativeTable};
-use crate::window::{put_set, take_set, Hint, Window};
+use crate::native::{apply_cut, range_verdict, LBox, NativeScratch, NativeTable};
+use crate::window::{put_set, read_run, take_set, Hint, Window};
 
 /// Per-worker scratch reused across blocks and executions: all
 /// per-block state lives here, so steady-state execution allocates
@@ -75,6 +83,8 @@ struct VScratch {
     /// Mask stack entries `(saved, pred_lanes)`; retained and rewritten
     /// in place, `sp` marks the live depth.
     stack: Vec<(Vec<u64>, Vec<u64>)>,
+    /// Per lane, a bulk move's guard box over its tile.
+    mlanes: Vec<LBox>,
     /// Scratch for the native tier's preflight and trace replay.
     native: NativeScratch,
 }
@@ -244,6 +254,7 @@ impl ByteCode {
             stack: &mut scratch.stack,
             sp: 0,
             native,
+            mlanes: &mut scratch.mlanes,
             nscratch: &mut scratch.native,
         };
         vb.run()?;
@@ -280,6 +291,7 @@ pub(crate) struct VBlock<'a> {
     pub(crate) sp: usize,
     /// The native tier's region table, when executing as `native`.
     pub(crate) native: Option<&'a NativeTable>,
+    mlanes: &'a mut Vec<LBox>,
     pub(crate) nscratch: &'a mut NativeScratch,
 }
 
@@ -870,10 +882,26 @@ impl VBlock<'_> {
         }
     }
 
-    /// Register-tile load/store nest for every active lane, mirroring the
-    /// oracle's per-thread register-tile statement (including the `__gr`/`__gc` specials
-    /// the guard may consult).
+    /// Register-tile load/store nest for every active lane: in bulk when
+    /// the move has a [`MovePlan`] and its guard cuts each lane's tile to
+    /// a box, else per element, mirroring the oracle's per-thread
+    /// register-tile statement (including the `__gr`/`__gc` specials the
+    /// guard may consult).  The native tier counts which path ran.
     fn reg_move(&mut self, ix: u32) {
+        let bc = self.bc;
+        let outcome = match &bc.move_plans[ix as usize] {
+            Ok(plan) => self.bulk_move(bc.moves[ix as usize], plan),
+            Err(why) => Err(*why),
+        };
+        if let Some(nat) = self.native {
+            nat.count_move(outcome);
+        }
+        if outcome.is_err() {
+            self.element_move(ix);
+        }
+    }
+
+    fn element_move(&mut self, ix: u32) {
         let mv = self.bc.moves[ix as usize];
         let n = self.n;
         let grn = GR_SLOT * n;
@@ -900,6 +928,342 @@ impl VBlock<'_> {
             }
         });
     }
+
+    /// The bulk move.  The tile origin is lane-affine, so lane 0's
+    /// gives every lane's, and each guard condition is affine in the lane
+    /// and the tile element: its extremes over the block and the tile
+    /// sit at corners.  When they prove the guard for every lane and
+    /// element (the common interior block), each tile element is copied
+    /// as one run per lane row; when they refute it, nothing is.  Else
+    /// each lane's guard is cut to a box over its tile (`r` on the box's
+    /// x axis, `c` on its y axis) — a monotone condition varying along
+    /// one tile axis cuts it exactly — and the runs are the consecutive
+    /// in-box lanes of a row.  A run's global addresses advance by the
+    /// origin's per-`tx` step: one slice copy for a column run.  Loads
+    /// read the snapshot shadowed by the window's written bits; stores
+    /// cover the footprint once and write runs with their bits.  Returns
+    /// the fallback reason, with nothing mutated, when the mask diverges
+    /// or a guard is not a box.
+    fn bulk_move(&mut self, mv: MoveOp, plan: &MovePlan) -> Result<(), MoveFallback> {
+        if !self.mask_full() {
+            return Err(MoveFallback::DivergentMask);
+        }
+        let n = self.n;
+        let (bxd, byd) = self.bc.block;
+        // A tile axis of extent 1 only ever takes coordinate 0.
+        let (sr, sc) = (
+            if mv.rows > 1 { mv.row_stride } else { 0 },
+            if mv.cols > 1 { mv.col_stride } else { 0 },
+        );
+        let (r00, c00) = (self.aop(mv.row0, 0), self.aop(mv.col0, 0));
+        let origin = |tx: i64, ty: i64| {
+            (
+                r00 + plan.row.0 * tx + plan.row.1 * ty,
+                c00 + plan.col.0 * tx + plan.col.1 * ty,
+            )
+        };
+        let pred = &self.bc.preds[mv.guard as usize];
+        let blank_ok = pred
+            .blank_flag
+            .is_none_or(|ix| self.blank_flags[ix] != pred.blank_negated);
+        let mut verdict = Some(blank_ok);
+        for cond in &plan.conds {
+            if verdict != Some(true) {
+                break;
+            }
+            verdict = cond.lanes.and_then(|(la, lb)| {
+                let w = self.eval_expr(&cond.rest, 0) + cond.kr * r00 + cond.kc * c00;
+                let (lo, hi) = range(
+                    w,
+                    &[
+                        (la, bxd),
+                        (lb, byd),
+                        (cond.kr * sr, mv.rows),
+                        (cond.kc * sc, mv.cols),
+                    ],
+                );
+                range_verdict(cond.op, lo, hi)
+            });
+        }
+        let mut lanes = std::mem::take(self.mlanes);
+        lanes.clear();
+        if verdict.is_none() {
+            let tile = LBox {
+                txl: 0,
+                txh: mv.rows,
+                tyl: 0,
+                tyh: mv.cols,
+            };
+            for lane in 0..n {
+                let (r0, c0) = (self.aop(mv.row0, lane), self.aop(mv.col0, lane));
+                let mut b = tile;
+                for cond in &plan.conds {
+                    let w = self.eval_expr(&cond.rest, lane) + cond.kr * r0 + cond.kc * c0;
+                    match apply_cut(b, w, cond.kr * sr, cond.kc * sc, cond.op) {
+                        Some(cut) => b = cut,
+                        None => {
+                            *self.mlanes = lanes;
+                            return Err(MoveFallback::GuardCut);
+                        }
+                    }
+                }
+                lanes.push(b);
+            }
+        }
+        // The per-element walk leaves each lane's last element in the
+        // `__gr`/`__gc` slots.
+        let (lr, lc) = ((mv.rows - 1) * mv.row_stride, (mv.cols - 1) * mv.col_stride);
+        for ty in 0..byd {
+            for tx in 0..bxd {
+                let lane = (tx + ty * bxd) as usize;
+                let (r0, c0) = origin(tx, ty);
+                self.frames[GR_SLOT * n + lane] = r0 + lr;
+                self.frames[GC_SLOT * n + lane] = c0 + lc;
+            }
+        }
+        if verdict == Some(false) {
+            *self.mlanes = lanes;
+            return Ok(());
+        }
+        let g = mv.global;
+        if !mv.load {
+            // The footprint: over every lane and element when the guard
+            // holds everywhere, else over each lane's box.
+            let span = |b: LBox, r0: i64, c0: i64| {
+                let (ra, rb) = range(
+                    r0 + mv.row_stride * b.txl,
+                    &[(mv.row_stride, b.txh - b.txl)],
+                );
+                let (ca, cb) = range(
+                    c0 + mv.col_stride * b.tyl,
+                    &[(mv.col_stride, b.tyh - b.tyl)],
+                );
+                [ra, rb, ca, cb]
+            };
+            let fp = if lanes.is_empty() {
+                let (rl, rh) = range(
+                    r00,
+                    &[
+                        (plan.row.0, bxd),
+                        (plan.row.1, byd),
+                        (mv.row_stride, mv.rows),
+                    ],
+                );
+                let (cl, ch) = range(
+                    c00,
+                    &[
+                        (plan.col.0, bxd),
+                        (plan.col.1, byd),
+                        (mv.col_stride, mv.cols),
+                    ],
+                );
+                Some([rl, rh, cl, ch])
+            } else {
+                let mut fp: Option<[i64; 4]> = None;
+                for (lane, &b) in lanes.iter().enumerate() {
+                    if b.is_empty() {
+                        continue;
+                    }
+                    let (r0, c0) = origin(lane as i64 % bxd, lane as i64 / bxd);
+                    let [ra, rb, ca, cb] = span(b, r0, c0);
+                    fp = Some(match fp {
+                        None => [ra, rb, ca, cb],
+                        Some([rl, rh, cl, ch]) => [rl.min(ra), rh.max(rb), cl.min(ca), ch.max(cb)],
+                    });
+                }
+                fp
+            };
+            if let Some([rl, rh, cl, ch]) = fp {
+                self.windows[g].cover(rl, rh, cl, ch);
+            }
+        }
+        let d = &self.bc.regs[mv.reg];
+        let step = (plan.row.0, plan.col.0);
+        let win = self.bc.globals[g].written;
+        for c in 0..mv.cols {
+            for r in 0..mv.rows {
+                let e = (self.bc.reg_off[mv.reg] + (r + c * d.rows) as usize) * n;
+                for ty in 0..byd {
+                    let row = (ty * bxd) as usize;
+                    let inside = |t: i64| {
+                        lanes.is_empty() || {
+                            let b = lanes[row + t as usize];
+                            b.txl <= r && r < b.txh && b.tyl <= c && c < b.tyh
+                        }
+                    };
+                    let mut tx = 0;
+                    while tx < bxd {
+                        if !inside(tx) {
+                            tx += 1;
+                            continue;
+                        }
+                        let t0 = tx;
+                        while tx < bxd && inside(tx) {
+                            tx += 1;
+                        }
+                        let l0 = row + t0 as usize;
+                        let len = (tx - t0) as usize;
+                        let (r0, c0) = origin(t0, ty);
+                        let (gr, gc) = (r0 + r * mv.row_stride, c0 + c * mv.col_stride);
+                        let regs = &mut self.regs[e + l0..e + l0 + len];
+                        if mv.load {
+                            let w = win.then(|| &self.windows[g]);
+                            read_run(w, self.base[g], gr, gc, step, regs);
+                        } else {
+                            self.windows[g].write_run(gr, gc, step, regs);
+                        }
+                    }
+                }
+            }
+        }
+        *self.mlanes = lanes;
+        Ok(())
+    }
+}
+
+/// The smallest and largest of `v0 + Σ kᵢ·xᵢ` over `xᵢ ∈ [0, extentᵢ)`
+/// for `(kᵢ, extentᵢ)` in `terms`.
+fn range(v0: i64, terms: &[(i64, i64)]) -> (i64, i64) {
+    terms.iter().fold((v0, v0), |(lo, hi), &(k, extent)| {
+        let d = k * (extent - 1);
+        (lo + d.min(0), hi + d.max(0))
+    })
+}
+
+/// Why a register-tile move ran per element instead of in bulk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum MoveFallback {
+    /// The guard holds for thread 0 only.
+    ThreadZero,
+    /// The tile origin is not lane-affine.
+    NonAffineOrigin,
+    /// A store whose lanes may write the same element: the interpreter's
+    /// lane order would then decide the value.
+    SharedElements,
+    /// The move ran under a divergent mask.
+    DivergentMask,
+    /// A lane's guard does not cut its tile to a box.
+    GuardCut,
+}
+
+impl MoveFallback {
+    /// Every reason, in counter order.
+    pub(crate) const ALL: [MoveFallback; 5] = [
+        MoveFallback::ThreadZero,
+        MoveFallback::NonAffineOrigin,
+        MoveFallback::SharedElements,
+        MoveFallback::DivergentMask,
+        MoveFallback::GuardCut,
+    ];
+
+    /// Stable short name, for histograms.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            MoveFallback::ThreadZero => "move-thread0-guard",
+            MoveFallback::NonAffineOrigin => "move-non-affine-origin",
+            MoveFallback::SharedElements => "move-shared-elements",
+            MoveFallback::DivergentMask => "move-divergent-mask",
+            MoveFallback::GuardCut => "move-guard-cut",
+        }
+    }
+}
+
+/// A register-tile move's bulk form, proved at compile time.
+#[derive(Clone, Debug)]
+pub(crate) struct MovePlan {
+    /// Lane-affine classes `(a, b)` of the tile origin's row and column.
+    pub(crate) row: (i64, i64),
+    pub(crate) col: (i64, i64),
+    /// The guard's conditions.
+    conds: Vec<MoveCond>,
+}
+
+/// One guard condition `lhs − rhs op 0` of a bulk move: `rest + kr·__gr +
+/// kc·__gc op 0`.
+#[derive(Clone, Debug)]
+struct MoveCond {
+    rest: SlotExpr,
+    kr: i64,
+    kc: i64,
+    op: CmpOp,
+    /// The lane-affine class of `rest`, when it has one.
+    lanes: Option<(i64, i64)>,
+}
+
+/// The bulk form of `mv`, or why it has none.  Stores also need every
+/// `(lane, tile element)` pair to address its own global element.
+pub(crate) fn plan_move(bc: &ByteCode, mv: &MoveOp) -> Result<MovePlan, MoveFallback> {
+    let pred = &bc.preds[mv.guard as usize];
+    if pred.thread0_only {
+        return Err(MoveFallback::ThreadZero);
+    }
+    let origin = |a| bc.aop_lane(a).ok_or(MoveFallback::NonAffineOrigin);
+    let (row, col) = (origin(mv.row0)?, origin(mv.col0)?);
+    let conds = pred
+        .conds
+        .iter()
+        .map(|c| {
+            let mut rest = SlotExpr::cst(c.lhs.constant - c.rhs.constant);
+            let (mut kr, mut kc) = (0, 0);
+            let terms = c.lhs.terms.iter().copied();
+            for (s, k) in terms.chain(c.rhs.terms.iter().map(|&(s, k)| (s, -k))) {
+                match s {
+                    GR_SLOT => kr += k,
+                    GC_SLOT => kc += k,
+                    _ => rest.terms.push((s, k)),
+                }
+            }
+            let lanes = bc
+                .expr_lane(&rest)
+                .map(|(a, b)| (a + kr * row.0 + kc * col.0, b + kr * row.1 + kc * col.1));
+            MoveCond {
+                rest,
+                kr,
+                kc,
+                op: c.op,
+                lanes,
+            }
+        })
+        .collect();
+    let (bx, by) = bc.block;
+    let axes = [
+        (bx, row.0, col.0),
+        (by, row.1, col.1),
+        (mv.rows, mv.row_stride, 0),
+        (mv.cols, 0, mv.col_stride),
+    ];
+    if !mv.load && !injective(&axes) {
+        return Err(MoveFallback::SharedElements);
+    }
+    Ok(MovePlan { row, col, conds })
+}
+
+/// Whether `Σ kᵢ·(drᵢ, dcᵢ)` over `kᵢ ∈ [0, extentᵢ)` takes distinct
+/// values for distinct `k`, by a sufficient test: every axis that varies
+/// moves one coordinate only, and on each coordinate the axes, by
+/// increasing stride, form a mixed radix — each stride exceeds the
+/// largest offset the smaller ones reach.
+fn injective(axes: &[(i64, i64, i64)]) -> bool {
+    let mut dims: [Vec<(i64, i64)>; 2] = Default::default();
+    for &(extent, dr, dc) in axes {
+        if extent <= 1 {
+            continue;
+        }
+        match (dr != 0, dc != 0) {
+            (true, false) => dims[0].push((dr.abs(), extent)),
+            (false, true) => dims[1].push((dc.abs(), extent)),
+            _ => return false,
+        }
+    }
+    dims.iter_mut().all(|d| {
+        d.sort_unstable();
+        let mut reach = 0;
+        d.iter().all(|&(k, extent)| {
+            let fits = k > reach;
+            reach += k * (extent - 1);
+            fits
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1058,6 +1422,99 @@ mod tests {
             "C must start non-zero for the snapshot read to show"
         );
         assert_engines_bit_identical(&p, 16, 5);
+    }
+
+    /// The full scheme at tile parameters `t`.
+    fn register_tiled_gemm(t: TileParams) -> Program {
+        let mut p = gemm_nn_like("g");
+        thread_grouping(&mut p, "Li", "Lj", t).unwrap();
+        loop_tiling(&mut p, "Lii", "Ljj", "Lk").unwrap();
+        sm_alloc(&mut p, "B", oa_loopir::AllocMode::Transpose).unwrap();
+        reg_alloc(&mut p, "C").unwrap();
+        p
+    }
+
+    /// Both engines against the oracle, with every register-tile move
+    /// run in bulk (the native tier counts them).
+    fn assert_moves_bulk_and_bit_identical(p: &Program, n: i64, seed: u64) {
+        assert_engines_bit_identical(p, n, seed);
+        let b = Bindings::square(n);
+        let np = crate::NativeProgram::compile(p, &b).expect("native compile");
+        np.execute(&mut alloc_buffers(p, &b, seed))
+            .expect("native exec");
+        let cov = np.coverage();
+        assert!(
+            cov.bulk_moves > 0 && cov.element_moves == 0,
+            "n = {n}: {cov:?}"
+        );
+    }
+
+    #[test]
+    fn bulk_moves_cut_ragged_tiles() {
+        // n = 120 cuts the 32 × 16 block tile of the serving shape (one
+        // 1 × 16 register tile per lane) in both axes, n = 19 the 8 × 8
+        // tile of 2 × 2 strided register tiles: edge lanes copy part of
+        // their tile, or none of it.
+        let serving = TileParams {
+            ty: 32,
+            tx: 16,
+            thr_i: 32,
+            thr_j: 1,
+            kb: 16,
+            unroll: 0,
+        };
+        assert_moves_bulk_and_bit_identical(&register_tiled_gemm(serving), 120, 31);
+        assert_moves_bulk_and_bit_identical(&register_tiled_gemm(params()), 19, 23);
+    }
+
+    #[test]
+    fn bulk_load_after_store_reads_the_window() {
+        // Store the register tile, load it back and store it again, as
+        // the TRSM solver loop reloads its tile: the reload must see the
+        // block's own writes in the window, not the snapshot's C.
+        fn reload(body: &mut Vec<Stmt>) {
+            let mut i = 0;
+            while i < body.len() {
+                match &mut body[i] {
+                    Stmt::RegStore(rt) => {
+                        let rt = rt.clone();
+                        body.insert(i + 1, Stmt::RegLoad(rt.clone()));
+                        body.insert(i + 2, Stmt::RegStore(rt));
+                        i += 3;
+                        continue;
+                    }
+                    Stmt::Loop(l) => reload(&mut l.body),
+                    Stmt::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => {
+                        reload(then_body);
+                        reload(else_body);
+                    }
+                    _ => {}
+                }
+                i += 1;
+            }
+        }
+        use oa_loopir::stmt::Stmt;
+        let mut p = register_tiled_gemm(params());
+        reload(&mut p.body);
+        assert_moves_bulk_and_bit_identical(&p, 16, 37);
+        assert_moves_bulk_and_bit_identical(&p, 19, 41);
+    }
+
+    #[test]
+    fn store_plans_need_lanes_to_own_their_elements() {
+        // (extent, row step, col step) per axis: 4 lanes one row apart
+        // with 2-row tiles 4 rows apart tile 8 rows exactly once …
+        assert!(injective(&[(4, 1, 0), (2, 4, 0), (3, 0, 1)]));
+        // … but 2 rows apart they overlap, and a lane axis that moves
+        // neither coordinate, or both, is refused.
+        assert!(!injective(&[(4, 1, 0), (2, 2, 0)]));
+        assert!(!injective(&[(4, 0, 0)]));
+        assert!(!injective(&[(4, 1, 1)]));
+        assert!(injective(&[(1, 0, 0), (16, 0, -1)]));
     }
 
     #[test]

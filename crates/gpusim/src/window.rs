@@ -95,6 +95,44 @@ impl Window {
         self.mask[ix / 64] >> (ix % 64) & 1 != 0
     }
 
+    /// Store `vals` at `(r, c)`, `(r + dr, c + dc)`, … and mark them
+    /// written; the box must already [`cover`](Self::cover) them.  A
+    /// column run is one slice copy.
+    pub(crate) fn write_run(&mut self, r: i64, c: i64, (dr, dc): (i64, i64), vals: &[f32]) {
+        if (dr, dc) == (1, 0) {
+            let ix = self.index(r, c).expect("covered");
+            debug_assert!(
+                r + vals.len() as i64 <= self.r0 + self.rows,
+                "run leaves the box"
+            );
+            self.vals[ix..ix + vals.len()].copy_from_slice(vals);
+            set_bits(&mut self.mask, ix, ix + vals.len());
+        } else {
+            for (i, &v) in vals.iter().enumerate() {
+                let i = i as i64;
+                let ix = self.index(r + i * dr, c + i * dc).expect("covered");
+                self.write_at(ix, v);
+            }
+        }
+    }
+
+    /// Overwrite `out[i]` with the block's write of `(r + i, c)`, where
+    /// it has one.
+    fn overlay_column(&self, r: i64, c: i64, out: &mut [f32]) {
+        let j = c - self.c0;
+        if j < 0 || j >= self.cols {
+            return;
+        }
+        let lo = r.max(self.r0);
+        let hi = (r + out.len() as i64).min(self.r0 + self.rows);
+        for row in lo..hi {
+            let ix = ((row - self.r0) + j * self.rows) as usize;
+            if self.written_at(ix) {
+                out[(row - r) as usize] = self.vals[ix];
+            }
+        }
+    }
+
     /// Grow the box to cover rows `rlo..=rhi` and columns `clo..=chi`.
     pub(crate) fn cover(&mut self, rlo: i64, rhi: i64, clo: i64, chi: i64) {
         let inside = |lo: i64, len: i64, a: i64, b: i64| a >= lo && b < lo + len;
@@ -202,6 +240,39 @@ impl Window {
             rows: rhi - rlo,
             cols: chi - clo,
         })
+    }
+}
+
+/// Read `out.len()` elements of `m` at `(r, c)`, `(r + dr, c + dc)`, …;
+/// with the block's window `win` of a written global, its writes shadow
+/// the snapshot.  A column run is one slice copy plus the window's
+/// written bits over it.
+pub(crate) fn read_run(
+    win: Option<&Window>,
+    m: &Matrix,
+    r: i64,
+    c: i64,
+    (dr, dc): (i64, i64),
+    out: &mut [f32],
+) {
+    if (dr, dc) == (1, 0) {
+        debug_assert!(
+            r >= 0 && r + out.len() as i64 <= m.ld && c >= 0 && c < m.cols,
+            "run ({r},{c})+{} out of bounds",
+            out.len()
+        );
+        let at = (r + c * m.ld) as usize;
+        out.copy_from_slice(&m.data[at..at + out.len()]);
+        if let Some(w) = win {
+            w.overlay_column(r, c, out);
+        }
+    } else {
+        for (i, o) in out.iter_mut().enumerate() {
+            let (ri, ci) = (r + i as i64 * dr, c + i as i64 * dc);
+            *o = win
+                .and_then(|w| w.get(ri, ci))
+                .unwrap_or_else(|| m.get(ri, ci));
+        }
     }
 }
 

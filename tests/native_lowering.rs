@@ -397,7 +397,9 @@ fn serving_tile_shapes_replay_whole_loops() {
     // Both serving tile shapes on every routine whose register-tile loop
     // reduces to one hot run: every inner loop must run as one loop
     // record — exact-size tiles keep the guard box constant, so each
-    // record covers all 16 iterations — and stay bit-identical.
+    // record covers all 16 iterations — and stay bit-identical.  On the
+    // 32-lane shape the K-step loop around it folds in too: one
+    // two-level record covers 16 × 16 iterations.
     let cases: Vec<(&str, [i64; 5])> = ["GEMM-NN", "GEMM-TN", "SYMM-LL", "SYMM-RU", "TRMM-LL-N"]
         .into_iter()
         .flat_map(|r| [(r, SHAPE_32X16), (r, SHAPE_16X16)])
@@ -417,9 +419,10 @@ fn serving_tile_shapes_replay_whole_loops() {
             .into_iter()
             .filter_map(|h| {
                 let (r, shape, cov) = h.join().expect("case panicked");
+                let per_record = if shape == SHAPE_32X16 { 256 } else { 16 };
                 let whole = cov.loop_records > 0
                     && cov.fallbacks == 0
-                    && cov.instances == 16 * cov.loop_records;
+                    && cov.instances == per_record * cov.loop_records;
                 (!whole).then(|| format!("{r} {shape:?}: {cov:?}"))
             })
             .collect()
@@ -488,4 +491,32 @@ fn served_triangular_kernels_run_natively() {
             .collect()
     });
     assert!(failures.is_empty(), "interpreted nests left: {failures:#?}");
+}
+
+#[test]
+fn served_winners_move_register_tiles_in_bulk() {
+    // Every register-tile load and store of the eight served n = 128
+    // winners proves its bounds guard at the corners and copies lane
+    // runs; none walks per element.
+    let cases = [
+        ("GEMM-NN", SHAPE_32X16),
+        ("GEMM-TN", SHAPE_16X16),
+        ("SYMM-LL", SHAPE_32X16),
+        ("SYMM-RU", SHAPE_16X16),
+        ("TRMM-LL-N", SHAPE_32X16),
+        ("TRMM-RU-T", SHAPE_16X16),
+        ("TRSM-LL-N", SHAPE_SOLVER),
+        ("TRSM-RU-T", SHAPE_SOLVER),
+    ];
+    for (r, shape) in cases {
+        let p = serving_kernel(r, shape);
+        let np = NativeProgram::compile(&p, &Bindings::square(128)).expect("native compile");
+        let mut bufs = prepare_buffers(&p, 128, 0x5EED, true);
+        np.execute(&mut bufs).expect("native exec");
+        let cov = np.coverage();
+        assert!(
+            cov.bulk_moves > 0 && cov.element_moves == 0 && cov.fallback_reasons.is_empty(),
+            "{r}: {cov:?}"
+        );
+    }
 }
