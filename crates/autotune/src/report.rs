@@ -279,8 +279,11 @@ pub struct ServeStats {
 /// that ran natively, `fallbacks` those handed back to the interpreter
 /// at runtime; `loop_records` counts register-tile loops replayed as
 /// one kernel and `instances` the statement instances replayed (one per
-/// loop-record iteration); `rejects` is the deduplicated compile-time
-/// reject histogram (kebab-case reason → count), most frequent first.
+/// loop-record iteration), with the two-level and triangular records
+/// among them and the register-tile moves run in bulk or per element;
+/// `fallback_reasons` and `rejects` are the runtime fallback and the
+/// deduplicated compile-time reject histograms (kebab-case reason →
+/// count), most frequent first.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NativeCoverageStats {
     /// Routine name.
@@ -295,6 +298,17 @@ pub struct NativeCoverageStats {
     pub loop_records: u64,
     /// Statement instances replayed.
     pub instances: u64,
+    /// Of `loop_records`, those folding a whole inner loop record.
+    pub two_level_records: u64,
+    /// Of `two_level_records`, the triangular ones (inner trips growing
+    /// with the outer iteration, or a tail run).
+    pub triangular_records: u64,
+    /// Register-tile moves run in bulk.
+    pub bulk_moves: u64,
+    /// Register-tile moves run per element.
+    pub element_moves: u64,
+    /// Why regions fell back and moves ran per element: reason → count.
+    pub fallback_reasons: Vec<(String, u64)>,
     /// Deduplicated compile-time reject reasons with counts.
     pub rejects: Vec<(String, u64)>,
 }

@@ -20,15 +20,18 @@
 //! register-tiled kernel whose deep K tile makes the inner FMA nest
 //! dominate; the `*-t32x16` / `*-t16x16` rows are the two register-tile
 //! shapes the tuner picks for the n = 128 serving routines, and the
-//! `TRMM-RU-T-t16x16` (peeled diagonal band) and `TRSM-LL-N-solver`
-//! (per-column substitution) rows are the served triangular winners,
-//! whose nests store into a written global.  A GEMM-family row that
-//! replays no loop record fails the run: the native tier fell back to
+//! `TRMM-RU-T-t16x16` (peeled diagonal band), `TRSM-LL-N-solver`
+//! (per-column substitution, at the serving size and at n = 64, the
+//! small-request size) and `TRSM-RU-T-solver` (per-row substitution, at
+//! n = 64) rows are the served triangular winners, whose nests store into
+//! a written global.  A GEMM-family row that replays no loop record fails the run: the native tier fell back to
 //! per-instance replay without saying so.  So does a 32 × 16 GEMM-family
 //! serving row that replays more loop records per execute than blocks ×
 //! K blocks (its K-step loop stopped folding into two-level records), and
 //! a serving row with a `store-shape` or `written-global-load` reject (a
-//! served nest went back to the interpreter).  `--quick` (alias
+//! served nest went back to the interpreter), and a TRSM serving row whose
+//! substitution replays more than one record per region entry (its
+//! triangular record stopped folding).  `--quick` (alias
 //! `--smoke`) trims the routine set and iteration budget for smoke runs.
 
 use oa_core::autotune::json::Json;
@@ -41,7 +44,7 @@ use oa_core::loopir::builder::{gemm_nn_like, syrk_ln_like};
 use oa_core::loopir::interp::{alloc_buffers, Bindings, Buffers};
 use oa_core::loopir::transform::{loop_tiling, reg_alloc, sm_alloc, thread_grouping, TileParams};
 use oa_core::loopir::Program;
-use oa_core::trace::{stderr_observer, TraceMode};
+use oa_core::trace::{histogram, stderr_observer, TraceMode};
 use oa_core::{RoutineId, Side, Trans, Uplo};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -84,6 +87,16 @@ struct Measurement {
     coverage: NativeCoverageStats,
     /// Loop records one native execute replays.
     records_per_execute: u64,
+    /// `(entries, loop records)` of each region holding a triangular
+    /// record, over every launch.
+    triangular_regions: Vec<(u64, u64)>,
+}
+
+/// A `(name, count)` histogram with owned names.
+fn owned(h: &[(&str, u64)]) -> Vec<(String, u64)> {
+    h.iter()
+        .map(|&(name, count)| (name.to_string(), count))
+        .collect()
 }
 
 impl Measurement {
@@ -129,6 +142,13 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
     let before = native.coverage().loop_records;
     native.execute(&mut base.clone()).expect("native exec");
     let records_per_execute = native.coverage().loop_records - before;
+    let triangular_regions = native
+        .coverage()
+        .region_replay
+        .iter()
+        .filter(|r| r.triangular)
+        .map(|r| (r.entries, r.loop_records))
+        .collect();
     // Coverage after all launches: entries/fallbacks accumulate over the
     // warm-up and every timed iteration.
     let cov = native.coverage();
@@ -139,11 +159,12 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
         fallbacks: cov.fallbacks,
         loop_records: cov.loop_records,
         instances: cov.instances,
-        rejects: cov
-            .rejects
-            .iter()
-            .map(|&(name, count)| (name.to_string(), count))
-            .collect(),
+        two_level_records: cov.two_level_records,
+        triangular_records: cov.triangular_records,
+        bulk_moves: cov.bulk_moves,
+        element_moves: cov.element_moves,
+        fallback_reasons: owned(&cov.fallback_reasons),
+        rejects: owned(&cov.rejects),
     };
 
     Measurement {
@@ -157,6 +178,7 @@ fn measure_program(label: &str, p: &Program, n: i64, flops: f64, budget: f64) ->
         native_1t_secs,
         coverage,
         records_per_execute,
+        triangular_regions,
     }
 }
 
@@ -204,6 +226,7 @@ fn serving_shapes() -> Vec<(String, RoutineId, Program)> {
     let gemm_tn = RoutineId::Gemm(Trans::T, Trans::N);
     let trmm_ru_t = RoutineId::Trmm(Side::Right, Uplo::Upper, Trans::T);
     let trsm_ll_n = RoutineId::Trsm(Side::Left, Uplo::Lower, Trans::N);
+    let trsm_ru_t = RoutineId::Trsm(Side::Right, Uplo::Upper, Trans::T);
     let shape = |ty, tx, thr_i, thr_j| TileParams {
         ty,
         tx,
@@ -211,6 +234,23 @@ fn serving_shapes() -> Vec<(String, RoutineId, Program)> {
         thr_j,
         kb: SERVING_KB,
         unroll: 0,
+    };
+    let solver = |r, grouping: &str| {
+        let script = format!(
+            "(Lii, Ljj) = thread_grouping({grouping});
+             (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
+             SM_alloc(B, Transpose);
+             SM_alloc(A, NoChange);
+             reg_alloc(B);"
+        );
+        tuned_shape(
+            r,
+            &script,
+            TileParams {
+                kb: 8,
+                ..shape(16, 64, 1, 64)
+            },
+        )
     };
     vec![
         (
@@ -258,18 +298,12 @@ fn serving_shapes() -> Vec<(String, RoutineId, Program)> {
         (
             "TRSM-LL-N-solver".to_string(),
             trsm_ll_n,
-            tuned_shape(
-                trsm_ll_n,
-                "(Lii, Ljj) = thread_grouping((Li, Lj));
-                 (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
-                 SM_alloc(B, Transpose);
-                 SM_alloc(A, NoChange);
-                 reg_alloc(B);",
-                TileParams {
-                    kb: 8,
-                    ..shape(16, 64, 1, 64)
-                },
-            ),
+            solver(trsm_ll_n, "(Li, Lj)"),
+        ),
+        (
+            "TRSM-RU-T-solver".to_string(),
+            trsm_ru_t,
+            solver(trsm_ru_t, "(Lj, Li)"),
         ),
     ]
 }
@@ -452,19 +486,22 @@ fn main() {
     let syrk = syrk_ln(tri_n);
     let syrk_flops = tri_n as f64 * tri_n as f64 * (tri_n as f64 + 1.0);
     measurements.push(measure_program("SYRK-LN", &syrk, tri_n, syrk_flops, budget));
-    // The serving tile shapes at the serving size (n = 64 on smoke runs;
-    // both are multiples of TRSM's 64-row solver tile).
+    // The serving tile shapes at the serving size (n = 64 on smoke runs).
+    // TRSM's solvers also run at n = 64, the size every small TRSM
+    // request runs; TRSM-RU-T's only there.
     let shape_n = if quick { 64 } else { 128 };
     let mut serving = Vec::new();
     for (label, r, p) in serving_shapes() {
         serving.push(label.clone());
-        measurements.push(measure_program(
-            &label,
-            &p,
-            shape_n,
-            r.flops(shape_n),
-            budget,
-        ));
+        let mut sizes = match label.as_str() {
+            "TRSM-LL-N-solver" => vec![shape_n, 64],
+            "TRSM-RU-T-solver" => vec![64],
+            _ => vec![shape_n],
+        };
+        sizes.dedup();
+        for n in sizes {
+            measurements.push(measure_program(&label, &p, n, r.flops(n), budget));
+        }
     }
 
     let mut rows = Vec::new();
@@ -533,19 +570,30 @@ fn main() {
                         Json::Int(m.coverage.instances as i64),
                     ),
                     (
+                        "two_level_records".to_string(),
+                        Json::Int(m.coverage.two_level_records as i64),
+                    ),
+                    (
+                        "triangular_records".to_string(),
+                        Json::Int(m.coverage.triangular_records as i64),
+                    ),
+                    (
+                        "bulk_moves".to_string(),
+                        Json::Int(m.coverage.bulk_moves as i64),
+                    ),
+                    (
+                        "element_moves".to_string(),
+                        Json::Int(m.coverage.element_moves as i64),
+                    ),
+                    (
+                        "fallback_reasons".to_string(),
+                        histogram(&m.coverage.fallback_reasons),
+                    ),
+                    (
                         "records_per_execute".to_string(),
                         Json::Int(m.records_per_execute as i64),
                     ),
-                    (
-                        "rejects".to_string(),
-                        Json::Obj(
-                            m.coverage
-                                .rejects
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
-                                .collect::<BTreeMap<_, _>>(),
-                        ),
-                    ),
+                    ("rejects".to_string(), histogram(&m.coverage.rejects)),
                 ])),
             ),
         ])));
@@ -632,6 +680,26 @@ fn main() {
         .collect();
     if !stores.is_empty() {
         eprintln!("FAIL: serving rows left a global-store nest interpreted: {stores:?}");
+        std::process::exit(1);
+    }
+    // A TRSM serving row's substitution nest replays as one triangular
+    // record per region entry, not one record per row.
+    let rows: Vec<String> = measurements
+        .iter()
+        .filter(|m| serving.contains(&m.routine) && m.routine.starts_with("TRSM"))
+        .filter(|m| {
+            m.triangular_regions.is_empty()
+                || m.triangular_regions
+                    .iter()
+                    .any(|&(entries, records)| records > entries)
+        })
+        .map(|m| format!("{} {:?}", m.routine, m.triangular_regions))
+        .collect();
+    if !rows.is_empty() {
+        eprintln!(
+            "FAIL: TRSM serving rows replayed more than one substitution record per region \
+             entry (entries, records): {rows:?}"
+        );
         std::process::exit(1);
     }
 

@@ -62,6 +62,15 @@ fn obj(fields: Vec<(&str, Json)>) -> Json {
     )
 }
 
+/// A `(reason, count)` histogram as one JSON object.
+pub fn histogram(h: &[(String, u64)]) -> Json {
+    Json::Obj(
+        h.iter()
+            .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
+            .collect(),
+    )
+}
+
 fn opt_num(v: Option<f64>) -> Json {
     v.map_or(Json::Null, Json::Num)
 }
@@ -199,15 +208,12 @@ pub fn event_json(e: &TuneEvent) -> Json {
             ("fallbacks", Json::Int(c.fallbacks as i64)),
             ("loop_records", Json::Int(c.loop_records as i64)),
             ("instances", Json::Int(c.instances as i64)),
-            (
-                "rejects",
-                Json::Obj(
-                    c.rejects
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
-                        .collect::<BTreeMap<_, _>>(),
-                ),
-            ),
+            ("two_level_records", Json::Int(c.two_level_records as i64)),
+            ("triangular_records", Json::Int(c.triangular_records as i64)),
+            ("bulk_moves", Json::Int(c.bulk_moves as i64)),
+            ("element_moves", Json::Int(c.element_moves as i64)),
+            ("fallback_reasons", histogram(&c.fallback_reasons)),
+            ("rejects", histogram(&c.rejects)),
         ]),
         TuneEvent::Fuse(f) => {
             let edges = |es: &[(String, String, String)]| {
@@ -328,9 +334,19 @@ pub fn event_pretty(e: &TuneEvent) -> String {
                     .join(", ")
             };
             format!(
-                "nativ {} {} region(s): {} entries, {} fallbacks, {} loop records, \
-                 {} instances, rejects {rejects}",
-                c.routine, c.regions, c.entries, c.fallbacks, c.loop_records, c.instances
+                "nativ {} {} region(s): {} entries, {} fallbacks, {} loop records \
+                 ({} two-level, {} triangular), {} instances, {} bulk / {} element moves, \
+                 rejects {rejects}",
+                c.routine,
+                c.regions,
+                c.entries,
+                c.fallbacks,
+                c.loop_records,
+                c.two_level_records,
+                c.triangular_records,
+                c.instances,
+                c.bulk_moves,
+                c.element_moves
             )
         }
         TuneEvent::Fuse(f) => {
@@ -877,13 +893,25 @@ mod tests {
             fallbacks: 0,
             loop_records: 3,
             instances: 48,
+            two_level_records: 2,
+            triangular_records: 1,
+            bulk_moves: 5,
+            element_moves: 1,
+            fallback_reasons: vec![("move-guard-cut".into(), 1)],
             rejects: vec![("store-shape".into(), 2)],
         });
         let line = event_json(&e).compact();
         assert!(line.contains("\"event\":\"native_coverage\""));
         assert!(line.contains("\"entries\":4"));
         assert!(line.contains("\"loop_records\":3"));
-        assert!(event_pretty(&e).contains("3 loop records, 48 instances"));
+        assert!(line.contains("\"two_level_records\":2"));
+        assert!(line.contains("\"triangular_records\":1"));
+        assert!(line.contains("\"bulk_moves\":5"));
+        assert!(line.contains("\"element_moves\":1"));
+        assert!(line.contains("\"fallback_reasons\":{\"move-guard-cut\":1}"));
+        assert!(event_pretty(&e).contains(
+            "3 loop records (2 two-level, 1 triangular), 48 instances, 5 bulk / 1 element moves"
+        ));
         assert!(line.contains("\"store-shape\":2"));
         assert!(event_pretty(&e).contains("store-shape×2"));
 

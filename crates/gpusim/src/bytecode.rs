@@ -57,10 +57,11 @@ use oa_loopir::slots::{SlotExpr, SlotMap, SlotPred};
 use oa_loopir::stmt::{AssignOp, RegTile, Stmt};
 use oa_loopir::Program;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::exec::{has_barrier, ExecError};
 use crate::launch::{extract_launch, Builtin};
-use crate::vexec::{plan_move, MoveFallback, MovePlan};
+use crate::vexec::{frame_zeroes, plan_move, MoveFallback, MovePlan};
 use crate::window::Hints;
 
 /// The per-thread specials, registered as frame slots `0..6` before any
@@ -73,6 +74,9 @@ pub(crate) const SR_SLOT: usize = 2;
 pub(crate) const SC_SLOT: usize = 3;
 pub(crate) const GR_SLOT: usize = 4;
 pub(crate) const GC_SLOT: usize = 5;
+
+/// The next [`ByteCode::id`]; 0 is never issued.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A resolved array reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -334,6 +338,12 @@ pub struct ByteCode {
     /// Per register-tile move, its bulk form or why it has none
     /// ([`crate::vexec`]).
     pub(crate) move_plans: Vec<Result<MovePlan, MoveFallback>>,
+    /// This compilation's process-unique id: a worker keeps its lane
+    /// frame across blocks of the same id ([`crate::vexec`]).
+    pub(crate) id: u64,
+    /// The frame slots a block may read before writing them, which a kept
+    /// frame clears; `None` when the frame is never kept.
+    pub(crate) frame_zeroes: Option<Vec<u32>>,
 }
 
 impl ByteCode {
@@ -470,8 +480,11 @@ impl ByteCode {
             lane_cls,
             hints: Hints::default(),
             move_plans: Vec::new(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            frame_zeroes: None,
         };
         bc.move_plans = bc.moves.iter().map(|mv| plan_move(&bc, mv)).collect();
+        bc.frame_zeroes = frame_zeroes(&bc);
         Ok(bc)
     }
 

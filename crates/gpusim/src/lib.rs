@@ -55,7 +55,7 @@ pub use engine::{
 };
 pub use exec::{exec_program, run_fresh_gpu, run_fresh_gpu_ref, ExecError};
 pub use launch::{extract_launch, Launch, LaunchError};
-pub use native::{NativeCoverage, NativeProgram, NativeReject};
+pub use native::{NativeCoverage, NativeProgram, NativeReject, RegionReplay};
 pub use perf::{evaluate, EvalError, PerfReport};
 pub use profile::ProfileCounters;
 /// Run a closure with the engines' block-parallel regions inline: for

@@ -60,7 +60,16 @@
 //!   alias-free over both loops, and the kernel keeps each lane chunk's
 //!   accumulators across them, so every accumulator element still takes
 //!   its updates in K order.  A single-level record is the case of one
-//!   outer trip;
+//!   outer trip.  The inner loop may sit in a guard of the outer body
+//!   (TRSM's update rows), which the outer iteration advances;
+//! * **triangular records** — an inner loop whose trip count grows by a
+//!   constant per outer iteration, optionally followed by a tail run (TRSM's
+//!   substitution: `i` trips of `B[i] -= A[i][k]·B[k]`, then
+//!   `B[i] /= A[i][i]`), folds into one record per region entry when every
+//!   access of the one written global keeps each lane on its own column
+//!   (or row): the rows it touches are gathered lane-contiguous into
+//!   scratch, the iterations run there in the interpreter's order, and
+//!   the written rows are stored back;
 //! * **global stores through the write window** — a store into a global
 //!   and a load of a global the kernel writes use the block's write
 //!   window (`crate::window`), as the interpreter does: generic runs
@@ -91,7 +100,7 @@ use oa_loopir::{CmpOp, Program};
 
 use crate::bytecode::{AOp, ArrRef, ByteCode, Instr, SC_SLOT, SR_SLOT};
 use crate::exec::ExecError;
-use crate::vexec::{MoveFallback, VBlock};
+use crate::vexec::{bin_lanes, fma_lanes, MoveFallback, VBlock};
 use crate::window::read_run;
 
 /// Process-wide region entries, summed over every [`NativeProgram`] ever
@@ -191,10 +200,20 @@ impl NativeProgram {
             loop_records: load(&t.loop_records),
             instances: load(&t.instances),
             two_level_records: load(&t.two_level),
+            triangular_records: load(&t.triangular),
             bulk_moves: load(&t.bulk_moves),
             element_moves: moves.iter().map(|m| m.1).sum(),
             fallback_reasons: descending(fallback_reasons),
             rejects: descending(by.into_iter().collect()),
+            region_replay: t
+                .regions
+                .iter()
+                .map(|r| RegionReplay {
+                    triangular: r.loops.iter().any(|lr| lr.tri.is_some()),
+                    entries: load(&r.entries),
+                    loop_records: load(&r.loop_records),
+                })
+                .collect(),
         }
     }
 
@@ -207,13 +226,15 @@ impl NativeProgram {
         let _ = writeln!(
             s,
             "native lowering: {} region(s), {} reject(s), entries={} fallbacks={} \
-             loop-records={} two-level={} instances={} bulk-moves={} element-moves={}",
+             loop-records={} two-level={} triangular={} instances={} bulk-moves={} \
+             element-moves={}",
             cov.regions,
             self.table.rejects.len(),
             cov.entries,
             cov.fallbacks,
             cov.loop_records,
             cov.two_level_records,
+            cov.triangular_records,
             cov.instances,
             cov.bulk_moves,
             cov.element_moves,
@@ -247,12 +268,14 @@ impl NativeProgram {
             let _ = writeln!(
                 s,
                 "  region {k}: pc {}..{}  runs={runs} stages={stages} guards={} loops={} \
-                 writeback-slots={}",
+                 writeback-slots={}  entries={} loop-records={}",
                 r.start,
                 r.resume,
                 r.guards.len(),
                 r.loops.len(),
                 r.writeback.len(),
+                cov.region_replay[k].entries,
+                cov.region_replay[k].loop_records,
             );
             for &(pc, op) in &r.pf {
                 let PfOp::Loop(lix) = op else { continue };
@@ -268,6 +291,23 @@ impl NativeProgram {
                         trips(lr),
                         lr.addr_deltas,
                     ),
+                    Some(il) if lr.tri.is_some() => {
+                        let inner = &r.loops[il as usize];
+                        let tail = lr.tail.as_ref();
+                        writeln!(
+                            s,
+                            "    loop record {lix}: triangular, outer test pc {pc} around record \
+                             {il}  run {}  tail run {}  trips {} x (t0 {:+} per outer trip)  \
+                             outer deltas {:?}  inner deltas {:?}  tail deltas {:?}",
+                            lr.sid,
+                            tail.map_or("-".into(), |t| t.0.to_string()),
+                            trips(lr),
+                            lr.grow,
+                            lr.addr_deltas,
+                            inner.addr_deltas,
+                            tail.map_or(&[][..], |t| &t.1[..]),
+                        )
+                    }
                     Some(il) => {
                         let inner = &r.loops[il as usize];
                         writeln!(
@@ -321,6 +361,9 @@ pub struct NativeCoverage {
     /// Of `loop_records`, the two-level ones: a loop whose every
     /// iteration runs one whole inner record, replayed as one kernel.
     pub two_level_records: u64,
+    /// Of `two_level_records`, the triangular ones: inner trips that grow
+    /// with the outer iteration, or a tail run after the inner loop.
+    pub triangular_records: u64,
     /// Register-tile moves run in bulk (lane runs).
     pub bulk_moves: u64,
     /// Register-tile moves run per element.
@@ -330,6 +373,20 @@ pub struct NativeCoverage {
     pub fallback_reasons: Vec<(&'static str, u64)>,
     /// Reject-reason histogram, descending by count.
     pub rejects: Vec<(&'static str, u64)>,
+    /// Per region, in program order: its runtime entries and loop records.
+    pub region_replay: Vec<RegionReplay>,
+}
+
+/// One region's runtime replay counts.
+#[derive(Clone, Copy, Debug)]
+pub struct RegionReplay {
+    /// The region holds a triangular loop record (it may still replay
+    /// per row when the record does not fold).
+    pub triangular: bool,
+    /// Entries that ran natively.
+    pub entries: u64,
+    /// Loop records replayed.
+    pub loop_records: u64,
 }
 
 /// Sort a `(name, count)` histogram by descending count, then name.
@@ -404,6 +461,8 @@ pub(crate) struct NativeTable {
     pub(crate) instances: AtomicU64,
     /// Of `loop_records`, the two-level ones (runtime, relaxed).
     pub(crate) two_level: AtomicU64,
+    /// Of `two_level`, the triangular ones (runtime, relaxed).
+    pub(crate) triangular: AtomicU64,
     /// Fallbacks by reason, in [`REGION_FALLBACKS`] order.
     pub(crate) fallback_by: [AtomicU64; REGION_FALLBACKS.len()],
     /// Register-tile moves run in bulk.
@@ -486,6 +545,9 @@ pub(crate) struct Region {
     /// analysis.  Always true for a constructed region — asserted at
     /// entry so the native path can never run on a rejected nest.
     pub(crate) affine_ok: bool,
+    /// Native entries and loop records replayed (runtime, relaxed).
+    entries: AtomicU64,
+    loop_records: AtomicU64,
 }
 
 /// One lowered statement: a run of F-instrs or a shared-memory stage.
@@ -505,6 +567,18 @@ struct NRun {
     exit: usize,
     /// The fused FMA-accumulate shape, when the ops match it exactly.
     hot: Option<Hot>,
+}
+
+impl NRun {
+    /// Per load and store, in trace order, whether it goes through the
+    /// write window: a load of a written global, or a global store.
+    fn windowed(&self) -> impl Iterator<Item = bool> + '_ {
+        self.ops.iter().filter_map(|op| match op {
+            NOp::Load { src, .. } => Some(matches!(src, NSrc::Window(_))),
+            NOp::Store { dst, .. } => Some(matches!(dst, NDst::Global(_))),
+            _ => None,
+        })
+    }
 }
 
 /// A cooperative shared-memory stage executed inside the region.
@@ -564,6 +638,32 @@ struct LoopRec {
     /// Every slot the body writes, with its per-iteration advance at the
     /// end of an iteration: the loop's exit state is extrapolated from it.
     exit_deltas: Vec<(u32, i64)>,
+    /// Per outer iteration change of the inner loop's trip count: a
+    /// triangular record's inner loop runs `t₀ + grow·io` trips in outer
+    /// iteration `io` (none below 0); 0 for constant trips.
+    grow: i64,
+    /// The run following the inner loop in each outer iteration (the
+    /// substitution's divide), with its per-iteration address advance.
+    tail: Option<(u32, Vec<i64>)>,
+    /// How a triangular record (growing inner trips, or a tail) keeps the
+    /// global it updates in scratch.
+    tri: Option<TriPlan>,
+}
+
+/// A triangular record's scratch: every access of its one written global
+/// (the accumulator, windowed sources, the tail's loads and stores) has
+/// the same lane coefficients, moving one coordinate only, which no
+/// iteration moves.  So each lane's elements are its own, the record
+/// runs on lane-contiguous copies of whole rows (or columns) of the
+/// global, indexed by the other coordinate, and only written ones are
+/// stored back.
+#[derive(Debug)]
+struct TriPlan {
+    /// The written global's lane coefficients.
+    ga: GAff,
+    /// Whether lanes move its columns (scratch rows are matrix rows),
+    /// else its rows (scratch rows are matrix columns).
+    lane_cols: bool,
 }
 
 /// Preflight dispatch at one pc.
@@ -778,6 +878,7 @@ pub(crate) fn lower(bc: &ByteCode) -> NativeTable {
         loop_records: AtomicU64::new(0),
         instances: AtomicU64::new(0),
         two_level: AtomicU64::new(0),
+        triangular: AtomicU64::new(0),
         fallback_by: Default::default(),
         bulk_moves: AtomicU64::new(0),
         element_moves: Default::default(),
@@ -828,6 +929,8 @@ impl<'a> RegionBuilder<'a> {
             pf_map,
             writeback: self.writeback,
             affine_ok: true,
+            entries: AtomicU64::new(0),
+            loop_records: AtomicU64::new(0),
         }
     }
 
@@ -962,10 +1065,12 @@ impl<'a> RegionBuilder<'a> {
     /// steps) or *overwritten* (`Eval` of an affine unit, or a trip-1
     /// loop's constant bounds) before any read in the same iteration; a
     /// forward pass then gives each read its per-iteration advance.  A
-    /// body that runs an inner loop record with constant bounds, and
-    /// nothing else but slot updates, makes this a two-level record: the
-    /// pass walks one inner iteration, so every advance it finds is per
-    /// outer iteration.
+    /// body that runs an inner loop record, optionally inside a guard,
+    /// and nothing else but slot updates, makes this a two-level record:
+    /// the pass walks one inner iteration, so every advance it finds is
+    /// per outer iteration.  When the inner loop's trip count moves with
+    /// the outer iteration, or a tail run follows it in the guard, the
+    /// record is triangular (see [`TriPlan`]).
     fn loop_record(&self, test: usize, jump: usize) -> Option<LoopRec> {
         let code = &self.bc.code;
         let Instr::LoopTest {
@@ -1025,10 +1130,25 @@ impl<'a> RegionBuilder<'a> {
                 AOp::Unit(u) => dexpr(d, &self.bc.units[u as usize]),
             }
         };
+        let run_deltas = |d: &BTreeMap<u32, i64>, r: &NRun| -> Option<Vec<i64>> {
+            let mut out = Vec::with_capacity(2 * r.n_addrs);
+            for op in &r.ops {
+                if let NOp::Load { row, col, .. } | NOp::Store { row, col, .. } = *op {
+                    out.push(daop(d, row)?);
+                    out.push(daop(d, col)?);
+                }
+            }
+            Some(out)
+        };
         let pf_at = |pc: usize| self.pf.iter().find(|&&(p, _)| p == pc).map(|&(_, op)| op);
-        let mut guard = None;
+        // The guard, if any: `(gix, deltas, branch start, branch end,
+        // whether it encloses the inner loop)`.
+        let mut guard: Option<(u32, Vec<i64>, usize, usize, bool)> = None;
         let mut run = None;
-        let mut inner: Option<u32> = None;
+        let mut tail = None;
+        // The inner record, its test pc, and its trips' growth.
+        let mut inner: Option<(u32, usize)> = None;
+        let mut grow = 0;
         let mut pc = test + 1;
         while pc < jump {
             match code[pc] {
@@ -1055,14 +1175,15 @@ impl<'a> RegionBuilder<'a> {
                 Instr::LoopInit {
                     var: v,
                     hi: h,
-                    lo: AOp::Const(_),
-                    hi_src: AOp::Const(_),
+                    lo,
+                    hi_src,
                     ..
-                } if inner.is_none() && guard.is_none() && run.is_none() => {
-                    // Constant bounds: the inner record runs the same trips
-                    // every outer iteration.  A slot it steps would
-                    // advance by trips × steps per outer iteration, so the
-                    // outer body must reset each one before it.
+                } if inner.is_none() && run.is_none() => {
+                    // The inner record runs the same trips every outer
+                    // iteration, or trips growing by a constant.  A slot
+                    // it steps would advance by trips × steps per outer
+                    // iteration, so the outer body must reset each one
+                    // before it.
                     let t = (pc + 1..jump).find(|&i| !matches!(code[i], Instr::Eval { .. }))?;
                     let Some(PfOp::Loop(ilix)) = pf_at(t) else {
                         return None;
@@ -1075,9 +1196,14 @@ impl<'a> RegionBuilder<'a> {
                     if il.inner.is_some() || !reset {
                         return None;
                     }
-                    d.insert(v, 0);
-                    d.insert(h, 0);
-                    inner = Some(ilix);
+                    let (dl, dh) = (daop(&d, lo)?, daop(&d, hi_src)?);
+                    grow = dh - dl;
+                    if grow != 0 && il.step != 1 {
+                        return None;
+                    }
+                    d.insert(v, dl);
+                    d.insert(h, dh);
+                    inner = Some((ilix, t));
                 }
                 Instr::LoopTest { uniform: true, .. } | Instr::LoopJump { .. } | Instr::PopMask => {
                 }
@@ -1093,7 +1219,7 @@ impl<'a> RegionBuilder<'a> {
                     for c in &self.bc.preds[pred as usize].conds {
                         deltas.push(dexpr(&d, &c.lhs)? - dexpr(&d, &c.rhs)?);
                     }
-                    guard = Some((gix, deltas, pc + 1, on_empty as usize));
+                    guard = Some((gix, deltas, pc + 1, on_empty as usize, inner.is_none()));
                 }
                 _ if is_fop(&code[pc]) => {
                     let Some(PfOp::Run(sid)) = pf_at(pc) else {
@@ -1102,35 +1228,37 @@ impl<'a> RegionBuilder<'a> {
                     let NStmt::Run(r) = &self.stmts[sid as usize] else {
                         return None;
                     };
+                    if let Some((ilix, _)) = inner.filter(|_| run.is_some()) {
+                        // A tail: after the inner loop, reading no slot
+                        // the inner loop writes (its trips may vary).
+                        let il = &self.loops[ilix as usize];
+                        if tail.is_some() || pc <= il.exit as usize {
+                            return None;
+                        }
+                        let inner_slot = |s: u32| il.exit_deltas.iter().any(|e| e.0 == s);
+                        for op in &r.ops {
+                            if let NOp::Load { row, col, .. } | NOp::Store { row, col, .. } = *op {
+                                if [row, col].iter().any(|&a| self.aop_reads(a, &inner_slot)) {
+                                    return None;
+                                }
+                            }
+                        }
+                        tail = Some((sid, run_deltas(&d, r)?, r.exit));
+                        pc = r.exit;
+                        continue;
+                    }
                     if run.is_some() || r.hot.is_none() {
                         return None;
                     }
                     // A guarded run must be the guard's whole branch:
                     // slot updates inside it would run only while the
-                    // box is not empty.
-                    if guard.as_ref().is_some_and(|g| (g.2, g.3) != (pc, r.exit)) {
+                    // box is not empty.  (A guard around the inner loop
+                    // is checked below.)
+                    let encloses = guard.as_ref().is_some_and(|g| g.4 && inner.is_some());
+                    if !encloses && guard.as_ref().is_some_and(|g| (g.2, g.3) != (pc, r.exit)) {
                         return None;
                     }
-                    let mut addr_deltas = Vec::with_capacity(2 * r.n_addrs);
-                    for op in &r.ops {
-                        if let NOp::Load { row, col, .. } | NOp::Store { row, col, .. } = *op {
-                            addr_deltas.push(daop(&d, row)?);
-                            addr_deltas.push(daop(&d, col)?);
-                        }
-                    }
-                    // A global accumulator is gathered once per record, so
-                    // each lane's element must stay put across iterations.
-                    if matches!(
-                        r.hot,
-                        Some(Hot {
-                            acc: NDst::Global(_),
-                            ..
-                        })
-                    ) && addr_deltas[4..6] != [0, 0]
-                    {
-                        return None;
-                    }
-                    run = Some((sid, addr_deltas));
+                    run = Some((sid, run_deltas(&d, r)?, pc));
                     pc = r.exit;
                     continue;
                 }
@@ -1138,8 +1266,44 @@ impl<'a> RegionBuilder<'a> {
             }
             pc += 1;
         }
-        let (sid, addr_deltas) = run?;
-        if inner.is_some_and(|il| self.loops[il as usize].sid != sid) {
+        let (sid, addr_deltas, run_pc) = run?;
+        let NStmt::Run(r) = &self.stmts[sid as usize] else {
+            return None;
+        };
+        let hot = r.hot?;
+        let il = inner.map(|(ilix, t)| (&self.loops[ilix as usize], t));
+        if let Some((il, _)) = il {
+            if il.sid != sid {
+                return None;
+            }
+            // A guard around the inner loop holds it and the tail, and
+            // nothing after them.
+            if let Some(g) = guard.as_ref().filter(|g| g.4) {
+                let last = tail.as_ref().map_or(il.exit as usize + 1, |t| t.2);
+                if g.3 != last {
+                    return None;
+                }
+            }
+        }
+        let tri = if grow != 0 || tail.is_some() {
+            let (il, t) = il.expect("only two-level records grow or have tails");
+            // The inner run must open the inner body (its addresses are
+            // read at the test when the loop runs no trip), the inner
+            // body may only step slots, and no guard may sit inside it.
+            let steps_only = code[t + 1..il.exit as usize]
+                .iter()
+                .all(|i| !matches!(i, Instr::Eval { .. } | Instr::LoopInit { .. }));
+            if run_pc != t + 1 || !steps_only || guard.as_ref().is_some_and(|g| !g.4) {
+                return None;
+            }
+            let tail_run = tail.as_ref().map(|t| (&self.stmts[t.0 as usize], &t.1[..]));
+            Some(self.tri_plan(r, (&il.addr_deltas, &addr_deltas), tail_run)?)
+        } else {
+            None
+        };
+        // A global accumulator is gathered once per record, so each lane's
+        // element must stay put across iterations.
+        if tri.is_none() && matches!(hot.acc, NDst::Global(_)) && addr_deltas[4..6] != [0, 0] {
             return None;
         }
         let exit_deltas = written
@@ -1153,11 +1317,94 @@ impl<'a> RegionBuilder<'a> {
             exit,
             step,
             trip: None,
-            inner,
+            inner: inner.map(|i| i.0),
             guard: guard.map(|(gix, deltas, ..)| (gix, deltas)),
             addr_deltas,
             exit_deltas,
+            grow,
+            tail: tail.map(|(tsid, deltas, _)| (tsid, deltas)),
+            tri,
         })
+    }
+
+    /// Whether address operand `a` reads a slot `hit` picks.
+    fn aop_reads(&self, a: AOp, hit: &dyn Fn(u32) -> bool) -> bool {
+        match a {
+            AOp::Const(_) => false,
+            AOp::Slot(s) => hit(s),
+            AOp::Unit(u) => self.bc.units[u as usize]
+                .terms
+                .iter()
+                .any(|t| hit(t.0 as u32)),
+        }
+    }
+
+    /// The scratch plan of a triangular record whose hot run advances its
+    /// addresses by `deltas` (per inner, per outer iteration), with the
+    /// tail run and its per-outer deltas; `None` when its accesses do not
+    /// keep each lane to its own row (or column) of one written global.
+    fn tri_plan(
+        &self,
+        run: &NRun,
+        (din, dout): (&[i64], &[i64]),
+        tail: Option<(&NStmt, &[i64])>,
+    ) -> Option<TriPlan> {
+        let NDst::Global(acc) = run.hot?.acc else {
+            return None;
+        };
+        let lane_cols = (acc.ra, acc.rb) == (0, 0);
+        if lane_cols == ((acc.ca, acc.cb) == (0, 0)) {
+            return None;
+        }
+        let (ka, kb) = if lane_cols {
+            (acc.ca, acc.cb)
+        } else {
+            (acc.ra, acc.rb)
+        };
+        let (bx, by) = self.bc.block;
+        if !crate::vexec::injective(&[(bx, ka, 0), (by, kb, 0)]) {
+            return None;
+        }
+        // The lane coordinate's index in an `(r, c)` pair.
+        let l = usize::from(lane_cols);
+        let same = |ga: &GAff| {
+            (ga.g, ga.ra, ga.rb, ga.ca, ga.cb) == (acc.g, acc.ra, acc.rb, acc.ca, acc.cb)
+        };
+        // Every window access of a run is one of the accumulator's global,
+        // with its lane coefficients, still on the lane coordinate; its
+        // other loads read the snapshot or shared memory.
+        let owned = |run: &NRun, ds: &[&[i64]]| {
+            let mut k = 0;
+            for op in &run.ops {
+                let on_g = match *op {
+                    NOp::Load {
+                        src: NSrc::Window(ga),
+                        ..
+                    }
+                    | NOp::Store {
+                        dst: NDst::Global(ga),
+                        ..
+                    } if same(&ga) => true,
+                    NOp::Load {
+                        src: NSrc::Global(_) | NSrc::Shared { .. },
+                        ..
+                    } => false,
+                    NOp::Load { .. } | NOp::Store { .. } => return false,
+                    _ => continue,
+                };
+                if on_g && ds.iter().any(|d| d[2 * k + l] != 0) {
+                    return false;
+                }
+                k += 1;
+            }
+            true
+        };
+        let tail_owned = match tail {
+            None => true,
+            Some((NStmt::Run(t), td)) => owned(t, &[td]),
+            Some((NStmt::Stage(_), _)) => false,
+        };
+        (owned(run, &[din, dout]) && tail_owned).then_some(TriPlan { ga: acc, lane_cols })
     }
 
     /// Match a loop body: slot updates, nested loops, shared-memory
@@ -1669,8 +1916,11 @@ pub(crate) struct NativeScratch {
     /// Packed copies of strided or windowed loop-kernel sources, one per
     /// operand.
     pub(crate) pack: [Vec<f32>; 2],
-    /// A global accumulator gathered lane-contiguous for the loop kernel.
+    /// A global accumulator gathered lane-contiguous for the loop kernel,
+    /// or a triangular record's rows.
     pub(crate) acc: Vec<f32>,
+    /// Which of a triangular record's rows it wrote.
+    pub(crate) rows: Vec<bool>,
     /// Preflight box stack: `(saved box, else box)` per open construct.
     pub(crate) bstack: Vec<(LBox, Option<LBox>)>,
 }
@@ -1683,9 +1933,7 @@ pub(crate) struct NativeScratch {
 /// reading the same global, over the box and all iterations, must be
 /// disjoint.
 fn record_alias_free(region: &Region, levels: &[(&LoopRec, i64)], bv: LBox, addrs: &[i64]) -> bool {
-    let NStmt::Run(run) = &region.stmts[levels[0].0.sid as usize] else {
-        unreachable!("loop records replay a run");
-    };
+    let run = run_of(region, levels[0].0.sid);
     let Some(Hot {
         a,
         b,
@@ -1711,6 +1959,35 @@ fn record_alias_free(region: &Region, levels: &[(&LoopRec, i64)], bv: LBox, addr
         }
         _ => true,
     })
+}
+
+/// The run statement `sid` (of a loop record or a run's preflight
+/// action, which always name runs).
+fn run_of(region: &Region, sid: u32) -> &NRun {
+    match &region.stmts[sid as usize] {
+        NStmt::Run(run) => run,
+        NStmt::Stage(_) => unreachable!("statement {sid} is a stage, not a run"),
+    }
+}
+
+/// Whether a triangular record's first iteration, traced at `rec` (the
+/// inner record, then the tail's instance), keeps every access of the
+/// written global on one lane coordinate: its lanes then own their rows.
+fn tri_lanes_agree(region: &Region, lr: &LoopRec, tp: &TriPlan, rec: &[i64]) -> bool {
+    let l = usize::from(tp.lane_cols);
+    let run = run_of(region, lr.sid);
+    // The accumulator's lane coordinate, which every access must share.
+    let at = rec[7 + 4 + l];
+    let agree = |run: &NRun, base: usize| {
+        let mut on_global = run.windowed().enumerate().filter(|w| w.1);
+        on_global.all(|(k, _)| rec[base + 2 * k + l] == at)
+    };
+    let tail_base = 7 + 2 * run.n_addrs + 5;
+    agree(run, 7)
+        && lr
+            .tail
+            .as_ref()
+            .is_none_or(|(tsid, _)| agree(run_of(region, *tsid), tail_base))
 }
 
 /// Inclusive range of `v0 + a·tx + b·ty + Σ dₖ·kₖ` over the lane box and
@@ -1741,6 +2018,17 @@ fn lbox(t: &[i64]) -> LBox {
         txh: t[1],
         tyl: t[2],
         tyh: t[3],
+    }
+}
+
+/// Append a run instance's box and addresses at `env` to the trace.
+fn push_instance(bc: &ByteCode, env: &[i64], run: &NRun, b: LBox, trace: &mut Vec<i64>) {
+    trace.extend_from_slice(&[b.txl, b.txh, b.tyl, b.tyh]);
+    for op in &run.ops {
+        if let NOp::Load { row, col, .. } | NOp::Store { row, col, .. } = *op {
+            trace.push(aop_env(bc, env, row));
+            trace.push(aop_env(bc, env, col));
+        }
     }
 }
 
@@ -1779,9 +2067,12 @@ impl VBlock<'_> {
         }
         nat.entries.fetch_add(1, Ordering::Relaxed);
         TOTAL_ENTRIES.fetch_add(1, Ordering::Relaxed);
-        let [loops, two_level, instances] = self.native_replay(region);
+        let [loops, two_level, tri, instances] = self.native_replay(region);
         nat.loop_records.fetch_add(loops, Ordering::Relaxed);
+        region.entries.fetch_add(1, Ordering::Relaxed);
+        region.loop_records.fetch_add(loops, Ordering::Relaxed);
         nat.two_level.fetch_add(two_level, Ordering::Relaxed);
+        nat.triangular.fetch_add(tri, Ordering::Relaxed);
         nat.instances.fetch_add(instances, Ordering::Relaxed);
         self.native_writeback(region);
         Some(region.resume)
@@ -1821,6 +2112,13 @@ impl VBlock<'_> {
                 match region.pf[pfix as usize - 1].1 {
                     PfOp::Loop(lix) => {
                         let lr = &region.loops[lix as usize];
+                        // The inner loop opening a triangular record's
+                        // first outer iteration is recorded at any trip
+                        // count, none included.
+                        let tri_first = outer.is_some_and(|(ol, _, ooff)| {
+                            let o = &region.loops[ol as usize];
+                            o.inner == Some(lix) && o.tri.is_some() && trace.len() == ooff
+                        });
                         // Single-level records trace in `rec`, two-level
                         // ones in `outer`: an outer record's first
                         // iteration folds its inner record first.
@@ -1840,33 +2138,40 @@ impl VBlock<'_> {
                                 for &(s, d) in &lr.exit_deltas {
                                     env[s as usize] += (trip - 1) * d;
                                 }
+                                if let Some(il) = lr.inner.filter(|_| lr.grow != 0) {
+                                    // Slots the inner loop steps end
+                                    // `trips × step` past their start.
+                                    let t0 = trace[off + 2];
+                                    let more = (t0 + lr.grow * (trip - 1)).max(0) - t0;
+                                    for &(s, d) in &region.loops[il as usize].exit_deltas {
+                                        env[s as usize] += more * d;
+                                    }
+                                }
                                 pc = lr.exit as usize;
                                 continue;
                             }
                         }
                         let (v, h) = (env[lr.var as usize], env[lr.hi as usize]);
                         if v >= h {
+                            if tri_first && v == h {
+                                // No trip: the run's addresses are read at
+                                // the test, where the run would open.
+                                trace.extend_from_slice(&[-(lix as i64) - 1, 1, 0]);
+                                push_instance(bc, &env, run_of(region, lr.sid), cur, &mut trace);
+                            }
                             pc = lr.exit as usize;
                             continue;
                         }
                         let trip = (h - v + lr.step - 1) / lr.step;
-                        if trip >= 2 {
+                        if trip >= 2 || tri_first {
                             *slot = Some((lix, trip, trace.len()));
                         }
                         pc += 1;
                     }
                     PfOp::Run(sid) => {
-                        let NStmt::Run(run) = &region.stmts[sid as usize] else {
-                            unreachable!("pf run points at a run statement");
-                        };
+                        let run = run_of(region, sid);
                         trace.push(sid as i64);
-                        trace.extend_from_slice(&[cur.txl, cur.txh, cur.tyl, cur.tyh]);
-                        for op in &run.ops {
-                            if let NOp::Load { row, col, .. } | NOp::Store { row, col, .. } = *op {
-                                trace.push(aop_env(bc, &env, row));
-                                trace.push(aop_env(bc, &env, col));
-                            }
-                        }
+                        push_instance(bc, &env, run, cur, &mut trace);
                         pc = run.exit;
                     }
                     PfOp::Stage(sid) => {
@@ -1942,7 +2247,7 @@ impl VBlock<'_> {
                     }
                     PfOp::Guard(gix) => {
                         let g = &region.guards[gix as usize];
-                        if rec.is_some() {
+                        if rec.is_some() || outer.is_some() {
                             // The only guard a loop record's body holds.
                             let sp = &bc.preds[g.pred as usize];
                             self.nscratch.gd0.clear();
@@ -2079,19 +2384,32 @@ impl VBlock<'_> {
             }
             return true;
         };
-        let NStmt::Run(run) = &region.stmts[lr.sid as usize] else {
-            unreachable!("loop records replay a run");
-        };
-        let one_record = trace.len() - off == 7 + 2 * run.n_addrs && trace[off] == -(il as i64) - 1;
+        // The first iteration traced one inner record, then the tail's
+        // instance over the same box.
+        let head = 7 + 2 * run_of(region, lr.sid).n_addrs;
+        let tail = lr
+            .tail
+            .as_ref()
+            .map(|(tsid, _)| (*tsid as i64, 5 + 2 * run_of(region, *tsid).n_addrs));
+        let rec = &trace[off..];
+        let one_record = rec.len() == head + tail.map_or(0, |t| t.1)
+            && rec[0] == -(il as i64) - 1
+            && tail
+                .is_none_or(|(tsid, _)| rec[head] == tsid && rec[head + 1..head + 5] == rec[3..7]);
         if !one_record {
             return false;
         }
-        let levels = [(&region.loops[il as usize], trace[off + 2]), (lr, trip)];
-        let rec = &trace[off..];
+        let levels = [(&region.loops[il as usize], rec[2]), (lr, trip)];
         if !(self.loop_box_constant(region, &levels, inc)
-            && record_alias_free(region, &levels, lbox(&rec[3..]), &rec[7..]))
+            && match &lr.tri {
+                Some(tp) => tri_lanes_agree(region, lr, tp, rec),
+                None => record_alias_free(region, &levels, lbox(&rec[3..]), &rec[7..]),
+            })
         {
             return false;
+        }
+        if tail.is_some() {
+            trace.drain(off + head..off + head + 5);
         }
         trace[off] = tag;
         trace[off + 1] = trip;
@@ -2109,10 +2427,12 @@ impl VBlock<'_> {
     /// that does not move.  Cuts are taken per condition over `inc`,
     /// since equal ends of an intersection prove nothing for its parts.
     fn loop_box_constant(&self, region: &Region, levels: &[(&LoopRec, i64)], inc: LBox) -> bool {
-        let Some((gix, _)) = &levels[0].0.guard else {
+        // The guard sits in the inner loop's body (both levels advance
+        // it) or around the inner loop (only the outer one does).
+        let Some(&(gix, _)) = levels.iter().find_map(|(lr, _)| lr.guard.as_ref()) else {
             return true;
         };
-        let g = &region.guards[*gix as usize];
+        let g = &region.guards[gix as usize];
         let sp = &self.bc.preds[g.pred as usize];
         sp.conds
             .iter()
@@ -2123,7 +2443,7 @@ impl VBlock<'_> {
                 let (mut lo, mut hi) = (d0, d0);
                 for (lr, trip) in levels {
                     let Some((_, deltas)) = &lr.guard else {
-                        unreachable!("both levels of a record share its guard");
+                        continue;
                     };
                     let span = deltas[j] * (trip - 1);
                     if span != 0 && matches!(c.op, CmpOp::Eq | CmpOp::Ne) {
@@ -2168,11 +2488,13 @@ impl VBlock<'_> {
     /// Phase 2: replay the recorded statement instances sequentially —
     /// exactly the interpreter's order, through vector kernels over each
     /// instance's recorded lane box.  A loop record replays all its
-    /// iterations in one loop kernel.  Returns the loop records, the
-    /// two-level ones among them, and the statement instances replayed.
-    fn native_replay(&mut self, region: &Region) -> [u64; 3] {
+    /// iterations in one loop kernel, a triangular one in
+    /// [`Self::native_tri`].  Returns the loop records, the two-level and
+    /// the triangular ones among them, and the statement instances
+    /// replayed.
+    fn native_replay(&mut self, region: &Region) -> [u64; 4] {
         let trace = std::mem::take(&mut self.nscratch.trace);
-        let [mut loops, mut two_level, mut instances] = [0u64; 3];
+        let [mut loops, mut two_level, mut tri, mut instances] = [0u64; 4];
         let mut off = 0;
         while off < trace.len() {
             let tag = trace[off];
@@ -2181,6 +2503,13 @@ impl VBlock<'_> {
             let (sid, levels, head) = if tag < 0 {
                 let lr = &region.loops[(-tag - 1) as usize];
                 let (trip_o, trip_i) = (trace[off + 1], trace[off + 2]);
+                if let Some(tp) = &lr.tri {
+                    let (len, n) = self.native_tri(region, lr, tp, &trace[off..]);
+                    [loops, two_level, tri] = [loops + 1, two_level + 1, tri + 1];
+                    instances += n;
+                    off += len;
+                    continue;
+                }
                 let levels = match lr.inner {
                     Some(il) => [
                         (&region.loops[il as usize].addr_deltas[..], trip_i),
@@ -2188,8 +2517,12 @@ impl VBlock<'_> {
                     ],
                     None => [(&lr.addr_deltas[..], trip_i), (&[0; 6][..], 1)],
                 };
-                loops += 1;
-                two_level += lr.inner.is_some() as u64;
+                // A record of no trip (an unfolded triangular record's
+                // first inner loop) does nothing.
+                if trip_i > 0 {
+                    loops += 1;
+                    two_level += lr.inner.is_some() as u64;
+                }
                 (lr.sid, Some(levels), off + 3)
             } else {
                 (tag as u32, None, off + 1)
@@ -2199,11 +2532,13 @@ impl VBlock<'_> {
                     let b = lbox(&trace[head..]);
                     let addrs = &trace[head + 4..head + 4 + 2 * run.n_addrs];
                     let levels = levels.unwrap_or([(&[0; 6], 1), (&[0; 6], 1)]);
+                    let n = levels[0].1 * levels[1].1;
                     match run.hot {
-                        Some(hot) => self.native_loop(hot, addrs, levels, b),
+                        Some(hot) if n > 0 => self.native_loop(hot, addrs, levels, b),
+                        Some(_) => {}
                         None => self.native_generic(run, addrs, b),
                     }
-                    instances += (levels[0].1 * levels[1].1) as u64;
+                    instances += n as u64;
                     off = head + 4 + 2 * run.n_addrs;
                 }
                 NStmt::Stage(stg) => {
@@ -2215,7 +2550,230 @@ impl VBlock<'_> {
             }
         }
         self.nscratch.trace = trace;
-        [loops, two_level, instances]
+        [loops, two_level, tri, instances]
+    }
+
+    /// A triangular record `rec` — `[tag, outer trips, first inner trips,
+    /// box…, hot addresses…, tail addresses…]` — over the lane box: every
+    /// row (or column) of the written global any iteration touches is
+    /// gathered lane-contiguous into scratch, outer iteration `io` runs
+    /// `acc ±= a·b` for its `t₀ + grow·io` inner trips and then the tail,
+    /// and the written rows are stored back into the window.  Each lane
+    /// reads and writes only its own elements, in the interpreter's
+    /// order, with two roundings.  Returns the record's length and its
+    /// statement instances.
+    fn native_tri(
+        &mut self,
+        region: &Region,
+        lr: &LoopRec,
+        tp: &TriPlan,
+        rec: &[i64],
+    ) -> (usize, u64) {
+        let n = self.n;
+        let (bxd, _) = self.bc.block;
+        let il = &region.loops[lr.inner.expect("triangular records are two-level") as usize];
+        let run = run_of(region, lr.sid);
+        let Some(hot) = run.hot else {
+            unreachable!("loop records replay a hot run");
+        };
+        let tail = lr
+            .tail
+            .as_ref()
+            .map(|(tsid, d)| (run_of(region, *tsid), &d[..]));
+        let (to, t0, bv) = (rec[1], rec[2], lbox(&rec[3..]));
+        let haddrs = &rec[7..7 + 2 * run.n_addrs];
+        let taddrs =
+            &rec[7 + 2 * run.n_addrs..7 + 2 * run.n_addrs + tail.map_or(0, |t| 2 * t.0.n_addrs)];
+        let trips = |io: i64| (t0 + lr.grow * io).max(0);
+        let instances = (0..to).map(trips).sum::<i64>() + tail.map_or(0, |_| to);
+        let len = 7 + haddrs.len() + taddrs.len();
+        if bv.is_empty() {
+            return (len, instances as u64);
+        }
+        // Scratch rows are indexed by the coordinate lanes do not move.
+        let (ix, l) = (usize::from(!tp.lane_cols), usize::from(tp.lane_cols));
+        let ga = tp.ga;
+        let (din, dout) = (&il.addr_deltas[..], &lr.addr_deltas[..]);
+        // The scratch rows span every row index an access of the global
+        // takes: `i0 + dio·io + di·k` over the outer iterations and each
+        // one's inner trips (one for the tail).
+        let mut span = (i64::MAX, i64::MIN);
+        let mut widen = |i0: i64, di: i64, dio: i64, hot: bool| {
+            for io in 0..to {
+                let t = if hot { trips(io) } else { 1 };
+                if t > 0 {
+                    let (a, b) = (i0 + dio * io, i0 + dio * io + di * (t - 1));
+                    span = (span.0.min(a.min(b)), span.1.max(a.max(b)));
+                }
+            }
+        };
+        for (k, _) in run.windowed().enumerate().filter(|w| w.1) {
+            widen(haddrs[2 * k + ix], din[2 * k + ix], dout[2 * k + ix], true);
+        }
+        if let Some((t, td)) = tail {
+            for (k, _) in t.windowed().enumerate().filter(|w| w.1) {
+                widen(taddrs[2 * k + ix], 0, td[2 * k + ix], false);
+            }
+        }
+        let (lo, hi) = span;
+        let at = haddrs[4 + l];
+        let (w, p) = (
+            (bv.txh - bv.txl) as usize,
+            ((bv.txh - bv.txl) * (bv.tyh - bv.tyl)) as usize,
+        );
+        let rows = (hi - lo + 1) as usize;
+        // Matrix coordinates of scratch row `i`, at lane (0, 0).
+        let rc = |i: i64| if tp.lane_cols { (i, at) } else { (at, i) };
+        let mut s = std::mem::take(&mut self.nscratch.acc);
+        let mut written = std::mem::take(&mut self.nscratch.rows);
+        s.clear();
+        s.resize(rows * p, 0.0);
+        written.clear();
+        written.resize(rows, false);
+        let g = ga.g as usize;
+        for (k, i) in (lo..=hi).enumerate() {
+            let (r, c) = rc(i);
+            for ty in bv.tyl..bv.tyh {
+                let (gr, gc) = ga.at(r, c, bv.txl, ty);
+                let out = &mut s[k * p + (ty - bv.tyl) as usize * w..][..w];
+                read_run(
+                    Some(&self.windows[g]),
+                    self.base[g],
+                    gr,
+                    gc,
+                    (ga.ra, ga.ca),
+                    out,
+                );
+            }
+        }
+        // Lane row `ty` of scratch row `i`.
+        let at_row = |i: i64, ty: i64| (i - lo) as usize * p + (ty - bv.tyl) as usize * w;
+        let smem: &[f32] = self.smem;
+        let mats = self.base;
+        let step = |k: usize| [(din[k], din[k + 1]), (dout[k], dout[k + 1])];
+        let operand = |src: NSrc, k: usize| match src {
+            NSrc::Window(_) => None,
+            _ => Some(walk(src, haddrs[k], haddrs[k + 1], step(k), smem, mats)),
+        };
+        let (wa, wb) = (operand(hot.a, 0), operand(hot.b, 2));
+        let [ta, tb] = &mut self.nscratch.pack;
+        ta.resize(w, 0.0);
+        tb.resize(w, 0.0);
+        // Lane row `ty` of the hot operand at `k` in inner trip `ki` of
+        // outer iteration `io`.
+        let fetch =
+            |s: &[f32], wk: &Option<Walk>, k: usize, ki: i64, io: i64, ty: i64, out: &mut [f32]| {
+                match wk {
+                    Some(wk) => wk.row_into(wk.dk * ki + wk.dko * io, bv.txl, ty, out),
+                    None => {
+                        let i = haddrs[k + ix] + din[k + ix] * ki + dout[k + ix] * io;
+                        out.copy_from_slice(&s[at_row(i, ty)..][..w]);
+                    }
+                }
+            };
+        for io in 0..to {
+            for ki in 0..trips(io) {
+                let i = haddrs[4 + ix] + din[4 + ix] * ki + dout[4 + ix] * io;
+                written[(i - lo) as usize] = true;
+                for ty in bv.tyl..bv.tyh {
+                    fetch(&s, &wa, 0, ki, io, ty, &mut ta[..w]);
+                    fetch(&s, &wb, 2, ki, io, ty, &mut tb[..w]);
+                    let acc = &mut s[at_row(i, ty)..][..w];
+                    for ((d, a), b) in acc.iter_mut().zip(&ta[..w]).zip(&tb[..w]) {
+                        let t = a * b;
+                        if hot.sub {
+                            *d -= t;
+                        } else {
+                            *d += t;
+                        }
+                    }
+                }
+            }
+            let Some((t, td)) = tail else { continue };
+            let mut k = 0;
+            for op in &t.ops {
+                // The next load's or store's `(r, c)` at `io`.
+                let mut addr = || {
+                    let rc = [0, 1].map(|x| taddrs[2 * k + x] + td[2 * k + x] * io);
+                    k += 1;
+                    rc
+                };
+                match *op {
+                    NOp::Const { dst, v } => self.fregs[dst as usize * n..][..n].fill(v),
+                    NOp::Load { dst, src, .. } => {
+                        let rc = addr();
+                        let d = &mut self.fregs[dst as usize * n..][..n];
+                        for ty in bv.tyl..bv.tyh {
+                            let out = &mut d[(ty * bxd + bv.txl) as usize..][..w];
+                            match src {
+                                NSrc::Window(_) => {
+                                    out.copy_from_slice(&s[at_row(rc[ix], ty)..][..w])
+                                }
+                                _ => walk(src, rc[0], rc[1], [(0, 0); 2], smem, mats)
+                                    .row_into(0, bv.txl, ty, out),
+                            }
+                        }
+                    }
+                    NOp::Bin { op, dst, a, b } => bin_lanes(self.fregs, n, op, dst, a, b),
+                    NOp::Fma {
+                        op,
+                        dst,
+                        a,
+                        b,
+                        c,
+                        mul_first,
+                    } => fma_lanes(self.fregs, n, op, dst, [a, b, c], mul_first),
+                    NOp::Store { src, op, .. } => {
+                        let i = addr()[ix];
+                        written[(i - lo) as usize] = true;
+                        let v = &self.fregs[src as usize * n..][..n];
+                        for ty in bv.tyl..bv.tyh {
+                            let d = &mut s[at_row(i, ty)..][..w];
+                            let v = &v[(ty * bxd + bv.txl) as usize..][..w];
+                            let lanes = d.iter_mut().zip(v);
+                            match op {
+                                AssignOp::Assign => lanes.for_each(|(d, v)| *d = *v),
+                                AssignOp::AddAssign => lanes.for_each(|(d, v)| *d += v),
+                                AssignOp::SubAssign => lanes.for_each(|(d, v)| *d -= v),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Store the written rows back, under one cover of their span.
+        let first = written.iter().position(|&x| x);
+        let last = written.iter().rposition(|&x| x);
+        if let (Some(a), Some(b)) = (first, last) {
+            let (ka, kb) = if tp.lane_cols {
+                (ga.ca, ga.cb)
+            } else {
+                (ga.ra, ga.rb)
+            };
+            let (la, lb) = extent(at, ka, kb, std::iter::empty(), bv);
+            let (ia, ib) = (lo + a as i64, lo + b as i64);
+            let win = &mut self.windows[g];
+            if tp.lane_cols {
+                win.cover(ia, ib, la, lb);
+            } else {
+                win.cover(la, lb, ia, ib);
+            }
+            for (k, _) in written.iter().enumerate().filter(|w| *w.1) {
+                let (r, c) = rc(lo + k as i64);
+                for ty in bv.tyl..bv.tyh {
+                    let (gr, gc) = ga.at(r, c, bv.txl, ty);
+                    win.write_run(
+                        gr,
+                        gc,
+                        (ga.ra, ga.ca),
+                        &s[k * p + (ty - bv.tyl) as usize * w..][..w],
+                    );
+                }
+            }
+        }
+        self.nscratch.acc = s;
+        self.nscratch.rows = written;
+        (len, instances as u64)
     }
 
     /// The loop kernel: `acc ±= a·b` over the lane box for every
@@ -2400,7 +2958,7 @@ impl VBlock<'_> {
                         }
                     }
                 }
-                NOp::Bin { op, dst, a, b } => self.vec_bin(op, dst, a, b),
+                NOp::Bin { op, dst, a, b } => bin_lanes(self.fregs, n, op, dst, a, b),
                 NOp::Fma {
                     op,
                     dst,
@@ -2408,7 +2966,7 @@ impl VBlock<'_> {
                     b,
                     c,
                     mul_first,
-                } => self.vec_fma(op, dst, a, b, c, mul_first),
+                } => fma_lanes(self.fregs, n, op, dst, [a, b, c], mul_first),
                 NOp::Store {
                     src,
                     dst: NDst::Global(ga),
@@ -2462,43 +3020,6 @@ impl VBlock<'_> {
                     }
                 }
             }
-        }
-    }
-
-    /// `freg[dst] = freg[a] op freg[b]`, all lanes.  Registers are
-    /// statement-local and allocated operands-first, so `dst > a, b` and
-    /// the split is safe.
-    fn vec_bin(&mut self, op: BinOp, dst: u32, a: u32, b: u32) {
-        let n = self.n;
-        let (src, dsl) = self.fregs.split_at_mut(dst as usize * n);
-        let dsl = &mut dsl[..n];
-        let a = &src[a as usize * n..][..n];
-        let b = &src[b as usize * n..][..n];
-        let lanes = dsl.iter_mut().zip(a).zip(b);
-        match op {
-            BinOp::Add => lanes.for_each(|((d, a), b)| *d = a + b),
-            BinOp::Sub => lanes.for_each(|((d, a), b)| *d = a - b),
-            BinOp::Mul => lanes.for_each(|((d, a), b)| *d = a * b),
-            BinOp::Div => lanes.for_each(|((d, a), b)| *d = a / b),
-        }
-    }
-
-    /// Fused multiply-add, all lanes — two roundings, never `mul_add`,
-    /// same as every tier.
-    fn vec_fma(&mut self, op: BinOp, dst: u32, a: u32, b: u32, c: u32, mul_first: bool) {
-        let n = self.n;
-        let (src, dsl) = self.fregs.split_at_mut(dst as usize * n);
-        let dsl = &mut dsl[..n];
-        let a = &src[a as usize * n..][..n];
-        let b = &src[b as usize * n..][..n];
-        let c = &src[c as usize * n..][..n];
-        let lanes = dsl.iter_mut().zip(a).zip(b).zip(c);
-        match (op, mul_first) {
-            (BinOp::Add, true) => lanes.for_each(|(((d, a), b), c)| *d = a * b + c),
-            (BinOp::Add, false) => lanes.for_each(|(((d, a), b), c)| *d = c + a * b),
-            (BinOp::Sub, true) => lanes.for_each(|(((d, a), b), c)| *d = a * b - c),
-            (BinOp::Sub, false) => lanes.for_each(|(((d, a), b), c)| *d = c - a * b),
-            _ => unreachable!("FFma is only built for Add/Sub"),
         }
     }
 
@@ -2615,6 +3136,14 @@ struct Walk<'x> {
 }
 
 impl Walk<'_> {
+    /// Lanes `tx0..tx0 + out.len()` of lane row `ty`, `off` past the base.
+    fn row_into(&self, off: i64, tx0: i64, ty: i64, out: &mut [f32]) {
+        let at = self.base + off + self.dtx * tx0 + self.dty * ty;
+        for (x, o) in out.iter_mut().enumerate() {
+            *o = self.data[(at + self.dtx * x as i64) as usize];
+        }
+    }
+
     /// `N` consecutive lanes from flat index `at`, by the tx stride class
     /// (broadcast, contiguous, strided gather).
     #[inline(always)]
@@ -2793,11 +3322,12 @@ fn chunk<const SUB: bool, const N: usize>(
     // next outer iteration.
     let (ja, jb, jo) = (a.dko - ti * a.dk, b.dko - ti * b.dk, acc.dko - ti * acc.dk);
     let (mut pa, mut pb) = (oa, ob);
-    if acc.dk == 0 && acc.dko == 0 {
-        let mut r: [f32; N] = regs[o as usize..o as usize + N]
-            .try_into()
-            .expect("N lanes");
-        for _ in 0..to {
+    if acc.dk == 0 {
+        // The accumulators stay put over the inner loop: keep them in
+        // registers, storing them at each outer step.
+        let mut po = o as usize;
+        let mut r: [f32; N] = regs[po..po + N].try_into().expect("N lanes");
+        for ko in 0..to {
             for _ in 0..ti {
                 fma(&mut r, a.lanes::<N>(pa), b.lanes::<N>(pb));
                 pa += a.dk;
@@ -2805,8 +3335,15 @@ fn chunk<const SUB: bool, const N: usize>(
             }
             pa += ja;
             pb += jb;
+            if acc.dko != 0 {
+                regs[po..po + N].copy_from_slice(&r);
+                if ko + 1 < to {
+                    po = (po as i64 + acc.dko) as usize;
+                    r = regs[po..po + N].try_into().expect("N lanes");
+                }
+            }
         }
-        regs[o as usize..o as usize + N].copy_from_slice(&r);
+        regs[po..po + N].copy_from_slice(&r);
     } else {
         let mut po = o;
         for _ in 0..to {

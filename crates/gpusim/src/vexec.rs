@@ -17,7 +17,12 @@
 //!   visited by every thread;
 //! * **addresses are incremental** — after the optimizer most subscripts
 //!   are a cache-slot read kept fresh by `StepAdd`, not an affine dot
-//!   product;
+//!   product, and an `Eval` that remains runs one term column at a time
+//!   over all lanes;
+//! * **set-up is incremental** — a worker keeps its lane frame across
+//!   blocks of the same program ([`ByteCode::id`]), rewriting only the
+//!   block-index columns and clearing the slots [`frame_zeroes`] finds
+//!   may be read before they are written;
 //! * **register-tile moves copy lane runs** — a `Move` whose tile origin
 //!   is lane-affine proves its bounds guard over every lane and tile
 //!   element at the corners (or cuts each lane's tile to a box) and
@@ -74,6 +79,8 @@ use crate::window::{put_set, read_run, take_set, Hint, Window};
 #[derive(Default)]
 struct VScratch {
     frames: Vec<i64>,
+    /// The [`ByteCode::id`] whose lane frame `frames` holds, 0 for none.
+    frame_owner: u64,
     fregs: Vec<f32>,
     smem: Vec<f32>,
     regs: Vec<f32>,
@@ -201,23 +208,7 @@ impl ByteCode {
         let n = self.threads_per_block() as usize;
         let words = n.div_ceil(64);
 
-        scratch.frames.clear();
-        scratch.frames.resize(self.n_slots * n, 0);
-        for ty in 0..self.block.1 {
-            for tx in 0..self.block.0 {
-                let lane = (tx + ty * self.block.0) as usize;
-                scratch.frames[TX_SLOT * n + lane] = tx;
-                scratch.frames[TY_SLOT * n + lane] = ty;
-                for &(slot, b) in &self.binds {
-                    scratch.frames[slot * n + lane] = match b {
-                        Builtin::BlockX => bx,
-                        Builtin::BlockY => by,
-                        Builtin::ThreadX => tx,
-                        Builtin::ThreadY => ty,
-                    };
-                }
-            }
-        }
+        self.set_up_frame(scratch, bx, by);
         scratch.fregs.clear();
         scratch.fregs.resize(self.n_fregs * n, 0.0);
         scratch.smem.clear();
@@ -231,9 +222,9 @@ impl ByteCode {
             }
         }
         scratch.active.clear();
-        scratch.active.resize(words, 0);
-        for lane in 0..n {
-            scratch.active[lane / 64] |= 1 << (lane % 64);
+        scratch.active.resize(words, u64::MAX);
+        if !n.is_multiple_of(64) {
+            scratch.active[words - 1] = (1 << (n % 64)) - 1;
         }
         scratch.full.clear();
         scratch.full.extend_from_slice(&scratch.active);
@@ -260,6 +251,188 @@ impl ByteCode {
         vb.run()?;
         Ok(windows)
     }
+
+    /// The lane frame a block starts from: thread indices, bound builtins
+    /// and zeros.  When the worker's previous block ran this program, its
+    /// frame is kept: every slot the program writes before it reads it
+    /// needs no reset, so only the block-index columns are rewritten and
+    /// the columns [`frame_zeroes`] names are cleared.
+    fn set_up_frame(&self, scratch: &mut VScratch, bx: i64, by: i64) {
+        let n = self.threads_per_block() as usize;
+        let frames = &mut scratch.frames;
+        let block_ix = |b: Builtin| match b {
+            Builtin::BlockX => Some(bx),
+            Builtin::BlockY => Some(by),
+            Builtin::ThreadX | Builtin::ThreadY => None,
+        };
+        if let Some(zeroes) = &self.frame_zeroes {
+            if scratch.frame_owner == self.id && frames.len() == self.n_slots * n {
+                for &(slot, b) in &self.binds {
+                    if let Some(v) = block_ix(b) {
+                        frames[slot * n..][..n].fill(v);
+                    }
+                }
+                for &s in zeroes {
+                    frames[s as usize * n..][..n].fill(0);
+                }
+                return;
+            }
+        }
+        scratch.frame_owner = self.id;
+        frames.clear();
+        frames.resize(self.n_slots * n, 0);
+        let (bxd, byd) = self.block;
+        for (lane, (tx, ty)) in (0..byd)
+            .flat_map(|ty| (0..bxd).map(move |tx| (tx, ty)))
+            .enumerate()
+        {
+            frames[TX_SLOT * n + lane] = tx;
+            frames[TY_SLOT * n + lane] = ty;
+        }
+        for &(slot, b) in &self.binds {
+            match (block_ix(b), b) {
+                (Some(v), _) => frames[slot * n..][..n].fill(v),
+                (None, Builtin::ThreadX) => {
+                    frames.copy_within(TX_SLOT * n..(TX_SLOT + 1) * n, slot * n)
+                }
+                (None, _) => frames.copy_within(TY_SLOT * n..(TY_SLOT + 1) * n, slot * n),
+            }
+        }
+    }
+}
+
+/// The frame slots a block may read before writing them: a must-written
+/// dataflow over the instruction stream, seeded with the thread indices
+/// and bound builtins and taking only unmasked all-lane writes (`Eval`,
+/// `StepAdd`, `LoopInit`).  A kept frame must clear exactly these.
+/// `None` when the program overwrites a seeded column, which a kept
+/// frame would then start stale: such a program never keeps its frame.
+pub(crate) fn frame_zeroes(bc: &ByteCode) -> Option<Vec<u32>> {
+    let words = bc.n_slots.div_ceil(64);
+    let set = |v: &mut [u64], s: usize| v[s / 64] |= 1 << (s % 64);
+    let has = |v: &[u64], s: usize| v[s / 64] >> (s % 64) & 1 != 0;
+    let mut entry = vec![0u64; words];
+    set(&mut entry, TX_SLOT);
+    set(&mut entry, TY_SLOT);
+    for &(slot, _) in &bc.binds {
+        set(&mut entry, slot);
+    }
+    let expr_slots = |e: &SlotExpr, out: &mut Vec<usize>| out.extend(e.terms.iter().map(|t| t.0));
+    let aop_slots = |a: AOp, out: &mut Vec<usize>| match a {
+        AOp::Const(_) => {}
+        AOp::Slot(s) => out.push(s as usize),
+        AOp::Unit(u) => expr_slots(&bc.units[u as usize], out),
+    };
+    // A macro's guard may read its own specials, which it sets first.
+    let pred_slots = |p: u32, own: &[usize], out: &mut Vec<usize>| {
+        for c in &bc.preds[p as usize].conds {
+            for e in [&c.lhs, &c.rhs] {
+                out.extend(e.terms.iter().map(|t| t.0).filter(|s| !own.contains(s)));
+            }
+        }
+    };
+    // (reads, writes) of one instruction.
+    let effects = |i: &Instr, reads: &mut Vec<usize>, writes: &mut Vec<usize>| match *i {
+        Instr::Eval { dst, unit } => {
+            expr_slots(&bc.units[unit as usize], reads);
+            writes.push(dst as usize);
+        }
+        Instr::StepAdd { dst, .. } => {
+            reads.push(dst as usize);
+            writes.push(dst as usize);
+        }
+        Instr::LoopInit {
+            var,
+            hi,
+            lo,
+            hi_src,
+            ..
+        } => {
+            aop_slots(lo, reads);
+            aop_slots(hi_src, reads);
+            writes.extend([var as usize, hi as usize]);
+        }
+        Instr::LoopTest { var, hi, .. } => reads.extend([var as usize, hi as usize]),
+        Instr::BranchUniform { pred, .. } | Instr::IfSplit { pred, .. } => {
+            pred_slots(pred, &[], reads)
+        }
+        Instr::FLoad { row, col, .. } | Instr::FStore { row, col, .. } => {
+            aop_slots(row, reads);
+            aop_slots(col, reads);
+        }
+        Instr::Stage { ix } => {
+            let st = &bc.stages[ix as usize];
+            aop_slots(st.row0, reads);
+            aop_slots(st.col0, reads);
+            pred_slots(st.guard, &[SR_SLOT, SC_SLOT], reads);
+        }
+        Instr::Move { ix } => {
+            let mv = &bc.moves[ix as usize];
+            aop_slots(mv.row0, reads);
+            aop_slots(mv.col0, reads);
+            pred_slots(mv.guard, &[GR_SLOT, GC_SLOT], reads);
+        }
+        _ => {}
+    };
+    let succs = |pc: usize| -> [Option<usize>; 2] {
+        match bc.code[pc] {
+            Instr::LoopTest { exit: t, .. }
+            | Instr::BranchUniform { if_false: t, .. }
+            | Instr::IfSplit { on_empty: t, .. }
+            | Instr::IfElse { done: t } => [Some(pc + 1), Some(t as usize)],
+            Instr::LoopJump { top: t } | Instr::Jump { target: t } => [Some(t as usize), None],
+            _ => [Some(pc + 1), None],
+        }
+    };
+    // Optimistic start: everything written (also at unreached pcs),
+    // narrowed to the fixpoint.  `dw[pc]` is the set written on entry.
+    let len = bc.code.len();
+    let mut dw = vec![u64::MAX; (len + 1) * words];
+    dw[..words].copy_from_slice(&entry);
+    let mut out = vec![0u64; words];
+    let mut work = vec![0usize];
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    while let Some(pc) = work.pop() {
+        if pc >= len {
+            continue;
+        }
+        out.copy_from_slice(&dw[pc * words..][..words]);
+        reads.clear();
+        writes.clear();
+        effects(&bc.code[pc], &mut reads, &mut writes);
+        for &w in &writes {
+            set(&mut out, w);
+        }
+        for next in succs(pc).into_iter().flatten() {
+            let mut changed = false;
+            for (a, b) in dw[next * words..][..words].iter_mut().zip(&out) {
+                changed |= *a & !b != 0;
+                *a &= b;
+            }
+            if changed {
+                work.push(next);
+            }
+        }
+    }
+    let mut zero = vec![0u64; words];
+    for (pc, i) in bc.code.iter().enumerate() {
+        reads.clear();
+        writes.clear();
+        effects(i, &mut reads, &mut writes);
+        if writes.iter().any(|&w| has(&entry, w)) {
+            return None;
+        }
+        let inw = &dw[pc * words..][..words];
+        for &r in reads.iter().filter(|&&r| !has(inw, r)) {
+            set(&mut zero, r);
+        }
+    }
+    Some(
+        (0..bc.n_slots)
+            .filter(|&s| has(&zero, s))
+            .map(|s| s as u32)
+            .collect(),
+    )
 }
 
 /// One block's execution state, borrowing a worker's [`VScratch`].
@@ -562,10 +735,7 @@ impl VBlock<'_> {
             }
             match code[pc] {
                 Instr::Eval { dst, unit } => {
-                    let e = &bc.units[unit as usize];
-                    for lane in 0..n {
-                        self.frames[dst as usize * n + lane] = self.eval_expr(e, lane);
-                    }
+                    eval_columns(self.frames, n, dst as usize, &bc.units[unit as usize]);
                     pc += 1;
                 }
                 Instr::StepAdd { dst, imm } => {
@@ -734,19 +904,7 @@ impl VBlock<'_> {
                     pc += 1;
                 }
                 Instr::FBin { op, dst, a, b } => {
-                    // Registers are statement-local and allocated
-                    // operands-first, so dst > a, b and the split is safe.
-                    let (src, d) = self.fregs.split_at_mut(dst as usize * n);
-                    let d = &mut d[..n];
-                    let a = &src[a as usize * n..][..n];
-                    let b = &src[b as usize * n..][..n];
-                    let lanes = d.iter_mut().zip(a).zip(b);
-                    match op {
-                        BinOp::Add => lanes.for_each(|((d, a), b)| *d = a + b),
-                        BinOp::Sub => lanes.for_each(|((d, a), b)| *d = a - b),
-                        BinOp::Mul => lanes.for_each(|((d, a), b)| *d = a * b),
-                        BinOp::Div => lanes.for_each(|((d, a), b)| *d = a / b),
-                    }
+                    bin_lanes(self.fregs, n, op, dst, a, b);
                     pc += 1;
                 }
                 Instr::FFma {
@@ -757,21 +915,7 @@ impl VBlock<'_> {
                     c,
                     mul_first,
                 } => {
-                    let (src, d) = self.fregs.split_at_mut(dst as usize * n);
-                    let d = &mut d[..n];
-                    let a = &src[a as usize * n..][..n];
-                    let b = &src[b as usize * n..][..n];
-                    let c = &src[c as usize * n..][..n];
-                    // Two separately rounded operations, never a fused
-                    // mul_add: bit-identical to the oracle's tree walk.
-                    let lanes = d.iter_mut().zip(a).zip(b).zip(c);
-                    match (op, mul_first) {
-                        (BinOp::Add, true) => lanes.for_each(|(((d, a), b), c)| *d = a * b + c),
-                        (BinOp::Add, false) => lanes.for_each(|(((d, a), b), c)| *d = c + a * b),
-                        (BinOp::Sub, true) => lanes.for_each(|(((d, a), b), c)| *d = a * b - c),
-                        (BinOp::Sub, false) => lanes.for_each(|(((d, a), b), c)| *d = c - a * b),
-                        _ => unreachable!("FFma is only built for Add/Sub"),
-                    }
+                    fma_lanes(self.fregs, n, op, dst, [a, b, c], mul_first);
                     pc += 1;
                 }
                 Instr::FStore {
@@ -1121,6 +1265,77 @@ impl VBlock<'_> {
     }
 }
 
+/// `frames[dst] = e` over all `n` lanes of slot-major frames, one term
+/// column at a time.  The destination's own terms go first, as
+/// `d = c_dst·d + constant`, so a unit that reads its destination sees
+/// each lane's old value before any other term is added.
+fn eval_columns(frames: &mut [i64], n: usize, dst: usize, e: &SlotExpr) {
+    let c_dst: i64 = e
+        .terms
+        .iter()
+        .filter(|&&(s, _)| s == dst)
+        .map(|&(_, c)| c)
+        .sum();
+    for d in &mut frames[dst * n..][..n] {
+        *d = c_dst * *d + e.constant;
+    }
+    for &(s, c) in e.terms.iter().filter(|&&(s, _)| s != dst) {
+        let (d, src) = if s < dst {
+            let (lo, hi) = frames.split_at_mut(dst * n);
+            (&mut hi[..n], &lo[s * n..][..n])
+        } else {
+            let (lo, hi) = frames.split_at_mut(s * n);
+            (&mut lo[dst * n..][..n], &hi[..n])
+        };
+        for (d, v) in d.iter_mut().zip(src) {
+            *d += c * v;
+        }
+    }
+}
+
+/// `fregs[dst] = fregs[a] op fregs[b]` over all `n` lanes.  Registers
+/// are statement-local and allocated operands-first, so `dst > a, b` and
+/// the split is safe.
+pub(crate) fn bin_lanes(fregs: &mut [f32], n: usize, op: BinOp, dst: u32, a: u32, b: u32) {
+    let (src, d) = fregs.split_at_mut(dst as usize * n);
+    let lanes = d[..n]
+        .iter_mut()
+        .zip(&src[a as usize * n..][..n])
+        .zip(&src[b as usize * n..][..n]);
+    match op {
+        BinOp::Add => lanes.for_each(|((d, a), b)| *d = a + b),
+        BinOp::Sub => lanes.for_each(|((d, a), b)| *d = a - b),
+        BinOp::Mul => lanes.for_each(|((d, a), b)| *d = a * b),
+        BinOp::Div => lanes.for_each(|((d, a), b)| *d = a / b),
+    }
+}
+
+/// The fused multiply-add `a·b ± c` (or `c ± a·b`) over all `n` lanes:
+/// two separately rounded operations, never a fused `mul_add`, so it is
+/// bit-identical to the oracle's tree walk.
+pub(crate) fn fma_lanes(
+    fregs: &mut [f32],
+    n: usize,
+    op: BinOp,
+    dst: u32,
+    [a, b, c]: [u32; 3],
+    mul_first: bool,
+) {
+    let (src, d) = fregs.split_at_mut(dst as usize * n);
+    let lanes = d[..n]
+        .iter_mut()
+        .zip(&src[a as usize * n..][..n])
+        .zip(&src[b as usize * n..][..n])
+        .zip(&src[c as usize * n..][..n]);
+    match (op, mul_first) {
+        (BinOp::Add, true) => lanes.for_each(|(((d, a), b), c)| *d = a * b + c),
+        (BinOp::Add, false) => lanes.for_each(|(((d, a), b), c)| *d = c + a * b),
+        (BinOp::Sub, true) => lanes.for_each(|(((d, a), b), c)| *d = a * b - c),
+        (BinOp::Sub, false) => lanes.for_each(|(((d, a), b), c)| *d = c - a * b),
+        _ => unreachable!("FFma is only built for Add/Sub"),
+    }
+}
+
 /// The smallest and largest of `v0 + Σ kᵢ·xᵢ` over `xᵢ ∈ [0, extentᵢ)`
 /// for `(kᵢ, extentᵢ)` in `terms`.
 fn range(v0: i64, terms: &[(i64, i64)]) -> (i64, i64) {
@@ -1243,7 +1458,7 @@ pub(crate) fn plan_move(bc: &ByteCode, mv: &MoveOp) -> Result<MovePlan, MoveFall
 /// moves one coordinate only, and on each coordinate the axes, by
 /// increasing stride, form a mixed radix — each stride exceeds the
 /// largest offset the smaller ones reach.
-fn injective(axes: &[(i64, i64, i64)]) -> bool {
+pub(crate) fn injective(axes: &[(i64, i64, i64)]) -> bool {
     let mut dims: [Vec<(i64, i64)>; 2] = Default::default();
     for &(extent, dr, dc) in axes {
         if extent <= 1 {
@@ -1515,6 +1730,130 @@ mod tests {
         assert!(!injective(&[(4, 0, 0)]));
         assert!(!injective(&[(4, 1, 1)]));
         assert!(injective(&[(1, 0, 0), (16, 0, -1)]));
+    }
+
+    #[test]
+    fn column_eval_reading_its_destination_matches_lane_eval() {
+        // frames[3] = 2·frames[3] − frames[1] + 5 reads its destination;
+        // frames[2] = frames[0] + 3·frames[4] does not.  Both must equal
+        // the per-lane dot product over the frame before the write.
+        let n = 70;
+        let frames: Vec<i64> = (0..5 * n as i64).map(|i| (i * 37) % 101 - 50).collect();
+        for (dst, e) in [
+            (
+                3,
+                SlotExpr {
+                    terms: vec![(3, 2), (1, -1)],
+                    constant: 5,
+                },
+            ),
+            (
+                2,
+                SlotExpr {
+                    terms: vec![(0, 1), (4, 3)],
+                    constant: 0,
+                },
+            ),
+        ] {
+            let mut got = frames.clone();
+            eval_columns(&mut got, n, dst, &e);
+            for lane in 0..n {
+                let want = e
+                    .terms
+                    .iter()
+                    .fold(e.constant, |a, &(s, c)| a + c * frames[s * n + lane]);
+                assert_eq!(got[dst * n + lane], want, "dst {dst} lane {lane}");
+            }
+            for s in (0..5).filter(|&s| s != dst) {
+                assert_eq!(got[s * n..][..n], frames[s * n..][..n], "slot {s} moved");
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_programs_on_one_worker_rekey_the_frame() {
+        // A, B, A on one thread: each block of B must not start from A's
+        // kept frame, nor A's second run from B's.  Every run matches the
+        // oracle.
+        let a = register_tiled_gemm(params());
+        let b = global_store_gemm();
+        let mut t = trmm_ll_like("t");
+        thread_grouping(&mut t, "Li", "Lj", params()).unwrap();
+        loop_tiling(&mut t, "Lii", "Ljj", "Lk").unwrap();
+        let bind = Bindings::square(19);
+        let compiled: Vec<ByteCode> = [&a, &b, &t]
+            .iter()
+            .map(|p| ByteCode::compile(p, &bind).expect("compile"))
+            .collect();
+        assert!(compiled[0].id != compiled[1].id && compiled[1].id != compiled[2].id);
+        rayon::in_place(|| {
+            for (p, bc) in [(&a, 0), (&b, 1), (&a, 0), (&t, 2), (&a, 0)] {
+                assert_matches_oracle(p, 19, 7, |bufs| compiled[bc].execute(bufs).expect("exec"));
+            }
+        });
+    }
+
+    #[test]
+    fn slots_read_before_written_are_zeroed() {
+        // A hand-made stream over the compiled frame: slot s0 is written
+        // before every read, s1 is stepped (read) before any write, and s2
+        // is written on one branch only before the join reads it.
+        let mut bc = ByteCode::compile(&global_store_gemm(), &Bindings::square(16)).unwrap();
+        let first = bc.n_slots as u32;
+        bc.n_slots += 3;
+        let (s0, s1, s2) = (first, first + 1, first + 2);
+        let k = bc.units.len() as u32;
+        let (four, u, u2) = (k, k + 1, k + 2);
+        bc.units.push(SlotExpr::cst(4));
+        bc.units.push(SlotExpr {
+            terms: vec![(s0 as usize, 1)],
+            constant: 0,
+        });
+        bc.units.push(SlotExpr {
+            terms: vec![(s2 as usize, 1)],
+            constant: 0,
+        });
+        bc.code = vec![
+            Instr::Eval {
+                dst: s0,
+                unit: four,
+            },
+            Instr::Eval { dst: s0, unit: u },
+            Instr::StepAdd { dst: s1, imm: 1 },
+            Instr::LoopInit {
+                var: s2,
+                hi: s0,
+                lo: AOp::Const(0),
+                hi_src: AOp::Slot(s0),
+                uniform: true,
+                label: 0,
+            },
+            Instr::LoopTest {
+                var: s2,
+                hi: s0,
+                exit: 7,
+                uniform: true,
+            },
+            Instr::StepAdd { dst: s2, imm: 1 },
+            Instr::LoopJump { top: 4 },
+            Instr::PopMask,
+        ];
+        // With the loop's init jumped over, s2 would be read unwritten:
+        // here it is written first, so only s1 is zeroed.
+        assert_eq!(frame_zeroes(&bc), Some(vec![s1]));
+        bc.code[3] = Instr::IfSplit {
+            pred: 0,
+            on_empty: 5,
+        };
+        bc.code[4] = Instr::Eval { dst: s2, unit: u };
+        bc.code[5] = Instr::PopMask;
+        bc.code[6] = Instr::Eval { dst: s0, unit: u2 };
+        bc.code.truncate(7);
+        let z = frame_zeroes(&bc).expect("no builtin written");
+        assert!(
+            z.contains(&s1) && z.contains(&s2) && !z.contains(&s0),
+            "{z:?}"
+        );
     }
 
     #[test]

@@ -305,8 +305,10 @@ fn flagship_reject_tables_do_not_regress() {
     }
 }
 
-/// The serving library's scripts (the n = 128 tuned winners), applied at
-/// one of its two register-tile shapes `[ty, tx, thr_i, thr_j, kb]`.
+/// The serving library's scripts (the tuned winners; every TRSM routine
+/// solves with the same script, left-side ones grouping `(Li, Lj)` and
+/// right-side ones `(Lj, Li)`), applied at one of its register-tile
+/// shapes `[ty, tx, thr_i, thr_j, kb]`.
 fn serving_kernel(routine: &str, shape: [i64; 5]) -> Program {
     let script = match routine {
         "GEMM-NN" | "GEMM-TN" => {
@@ -342,14 +344,14 @@ fn serving_kernel(routine: &str, shape: [i64; 5]) -> Program {
              SM_alloc(A, NoChange);
              reg_alloc(C);"
         }
-        "TRSM-LL-N" => {
+        r if r.starts_with("TRSM-L") => {
             "(Lii, Ljj) = thread_grouping((Li, Lj));
              (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
              SM_alloc(B, Transpose);
              SM_alloc(A, NoChange);
              reg_alloc(B);"
         }
-        "TRSM-RU-T" => {
+        r if r.starts_with("TRSM-R") => {
             "(Lii, Ljj) = thread_grouping((Lj, Li));
              (Liii, Ljjj, Lkkk) = loop_tiling(Lii, Ljj, Lk);
              SM_alloc(B, Transpose);
@@ -519,4 +521,67 @@ fn served_winners_move_register_tiles_in_bulk() {
             "{r}: {cov:?}"
         );
     }
+}
+
+#[test]
+fn trsm_solver_nests_replay_whole_row_blocks() {
+    // Each 64-column block solves its n/16 row blocks in turn.  Row
+    // block rb's update nest (16 rows around a guarded 8-trip k loop)
+    // runs once per earlier k block, 2·rb times, each one two-level
+    // record; its substitution nest (row i, an inner trip of i, then the
+    // divide) replays as one triangular record.  All eight serving
+    // winners at n = 64 and the two served at n = 128 and 192, on both
+    // engines, bit-identical with the oracle and with no fallback.
+    let routines = [
+        "TRSM-LL-N",
+        "TRSM-LL-T",
+        "TRSM-LU-N",
+        "TRSM-LU-T",
+        "TRSM-RL-N",
+        "TRSM-RL-T",
+        "TRSM-RU-N",
+        "TRSM-RU-T",
+    ];
+    let cases: Vec<(&str, i64)> = routines
+        .iter()
+        .map(|&r| (r, 64))
+        .chain(
+            ["TRSM-LL-N", "TRSM-RU-T"]
+                .into_iter()
+                .flat_map(|r| [(r, 128), (r, 192)]),
+        )
+        .collect();
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = cases
+            .iter()
+            .map(|&(r, n)| {
+                s.spawn(move || {
+                    let p = serving_kernel(r, SHAPE_SOLVER);
+                    let np = assert_serving_bit_identical(&p, n);
+                    let b = Bindings::square(n);
+                    let mut oracle = prepare_buffers(&p, n, 0x5EED, true);
+                    let mut bc = oracle.clone();
+                    exec_program(&p, &b, &mut oracle).expect("oracle exec");
+                    np.bytecode().execute(&mut bc).expect("bytecode exec");
+                    assert_bits(&oracle, &bc);
+                    (r, n, np.coverage())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| {
+                let (r, n, cov) = h.join().expect("case panicked");
+                let (blocks, row_blocks) = (n as u64 / 64, n as u64 / 16);
+                let substitution = blocks * row_blocks;
+                let update = blocks * row_blocks * (row_blocks - 1);
+                let whole = cov.fallbacks == 0
+                    && cov.triangular_records == substitution
+                    && cov.loop_records == substitution + update
+                    && cov.two_level_records == cov.loop_records;
+                (!whole).then(|| format!("{r} n={n}: {cov:?}"))
+            })
+            .collect()
+    });
+    assert!(failures.is_empty(), "solver nests not whole: {failures:#?}");
 }
